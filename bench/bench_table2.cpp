@@ -353,25 +353,25 @@ void dccp_request_termination() {
 
 int main(int argc, char** argv) {
   const char* json_path = nullptr;
-  const char* journal_path = nullptr;
+  const char* row_journal_path = nullptr;
   bool resume = false;
   for (int i = 1; i < argc; ++i) {
     if (!std::strcmp(argv[i], "--json") && i + 1 < argc) json_path = argv[++i];
-    else if (!std::strcmp(argv[i], "--journal") && i + 1 < argc) journal_path = argv[++i];
+    else if (!std::strcmp(argv[i], "--journal") && i + 1 < argc) row_journal_path = argv[++i];
     else if (!std::strcmp(argv[i], "--resume")) resume = true;
   }
-  if (resume && journal_path == nullptr) {
+  if (resume && row_journal_path == nullptr) {
     std::fprintf(stderr, "--resume requires --journal PATH\n");
     return 1;
   }
 
   std::map<std::string, JournaledRow> done;
-  if (resume) done = load_row_journal(journal_path);
-  if (journal_path != nullptr) {
+  if (resume) done = load_row_journal(row_journal_path);
+  if (row_journal_path != nullptr) {
     // Append after replayable rows; truncate when starting fresh.
-    row_journal = std::fopen(journal_path, done.empty() ? "w" : "a");
+    row_journal = std::fopen(row_journal_path, done.empty() ? "w" : "a");
     if (row_journal == nullptr) {
-      std::fprintf(stderr, "cannot open journal %s\n", journal_path);
+      std::fprintf(stderr, "cannot open journal %s\n", row_journal_path);
       return 1;
     }
   }
@@ -432,7 +432,7 @@ int main(int argc, char** argv) {
   }
   if (replayed > 0)
     std::printf("\n(%zu of %zu rows replayed from journal %s)\n", replayed, steps.size(),
-                journal_path);
+                row_journal_path);
   if (row_journal != nullptr) {
     std::fclose(row_journal);
     row_journal = nullptr;

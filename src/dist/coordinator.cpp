@@ -11,10 +11,8 @@
 #include <chrono>
 #include <cstring>
 #include <deque>
-#include <fstream>
 #include <map>
 #include <optional>
-#include <sstream>
 #include <thread>
 
 #include "dist/supervisor.h"
@@ -62,7 +60,6 @@ struct DistributedBackend::Impl {
     bool steal_pending = false;
     bool reaped = false;
     bool death_handled = false;  // declare_dead/quarantine ran for this life
-    std::string journal_path;
     int slot = 0;
     int incarnation = 0;  // 0 = initial spawn; respawns count up
     // Starvation detector inputs: when this worker last made observable
@@ -114,7 +111,6 @@ struct DistributedBackend::Impl {
   std::uint64_t verified = 0;
   std::uint64_t divergent = 0;
   std::vector<std::string> worker_metrics_json;
-  std::vector<std::string> journal_files;
 
   bool started = false;
 
@@ -188,18 +184,13 @@ struct DistributedBackend::Impl {
     sup.record_quarantine(w.slot, std::move(reason));
   }
 
-  /// The WorkerCampaign for a (slot, incarnation): per-slot journal path and
-  /// test faults on top of the shared template. Test faults apply to the
+  /// The WorkerCampaign for a (slot, incarnation): test faults on top of the
+  /// shared template. Test faults apply to the
   /// first incarnation only — the injected death/corruption is the
   /// experiment, the replacement must be healthy.
   WorkerCampaign campaign_for(int slot, int incarnation) const {
     WorkerCampaign wc = wc_template;
     wc.worker_index = slot;
-    if (!options.journal_dir.empty()) {
-      wc.journal_path = options.journal_dir + "/worker-" + std::to_string(slot);
-      if (incarnation > 0) wc.journal_path += ".r" + std::to_string(incarnation);
-      wc.journal_path += ".jsonl";
-    }
     if (incarnation == 0) {
       const auto i = static_cast<std::size_t>(slot);
       if (i < options.exit_after_results.size())
@@ -239,7 +230,6 @@ struct DistributedBackend::Impl {
       kill_worker(w);
       return false;
     }
-    w.journal_path = wc.journal_path;
     return true;
   }
 
@@ -261,7 +251,6 @@ struct DistributedBackend::Impl {
     }
     w.last_heard = Clock::now();
     w.last_progress = w.last_heard;
-    if (!w.journal_path.empty()) journal_files.push_back(w.journal_path);
     // Chaos only after the handshake: the supervisor needs spawns to make
     // progress, and the worker applies its own plan after ready likewise.
     attach_coord_chaos(w);
@@ -608,13 +597,11 @@ bool DistributedBackend::start(const core::CampaignConfig& config,
     }
     w.last_heard = Clock::now();
     w.last_progress = w.last_heard;
-    if (!w.journal_path.empty()) im.journal_files.push_back(w.journal_path);
     im.attach_coord_chaos(w);
   }
   if (!determinism_ok || im.alive_count() == 0) {
     for (auto& w : im.workers) im.kill_worker(w);
     im.workers.clear();
-    im.journal_files.clear();
     return false;
   }
   im.started = true;
@@ -769,23 +756,5 @@ std::uint64_t DistributedBackend::frames_rejected() const { return impl_->frames
 std::uint64_t DistributedBackend::trials_verified() const { return impl_->verified; }
 std::uint64_t DistributedBackend::results_divergent() const { return impl_->divergent; }
 std::string DistributedBackend::fleet_report() const { return impl_->sup.report(); }
-
-const std::vector<std::string>& DistributedBackend::journal_paths() const {
-  return impl_->journal_files;
-}
-
-std::optional<core::JournalSnapshot> DistributedBackend::merged_journal(
-    std::size_t* skipped) const {
-  std::vector<std::string> texts;
-  for (const std::string& path : impl_->journal_files) {
-    std::ifstream in(path, std::ios::binary);
-    if (!in.is_open()) continue;
-    std::ostringstream buf;
-    buf << in.rdbuf();
-    texts.push_back(buf.str());
-  }
-  std::vector<std::string_view> parts(texts.begin(), texts.end());
-  return core::merge_journals(parts, skipped);
-}
 
 }  // namespace snake::dist

@@ -29,7 +29,6 @@
 
 #include <cstdint>
 #include <memory>
-#include <optional>
 #include <string>
 #include <vector>
 
@@ -46,12 +45,6 @@ struct DistOptions {
   /// duration of a trial.
   int heartbeat_interval_ms = 250;
   int heartbeat_timeout_ms = 5000;
-
-  /// Directory for per-worker journals ("" = none). Worker i appends to
-  /// <dir>/worker-<i>.jsonl (respawned incarnations get distinct
-  /// worker-<i>.r<k>.jsonl files); merge with core::merge_journals (or the
-  /// merged_journal() convenience below).
-  std::string journal_dir;
 
   /// Ask workers to attach the embedding executable's oracle inspector
   /// (WorkerHooks::make_inspector) to every run; violation counts come back
@@ -160,11 +153,6 @@ class DistributedBackend : public core::TrialBackend {
   std::uint64_t results_divergent() const;
   /// Human-readable per-slot supervision summary ("" when nothing failed).
   std::string fleet_report() const;
-
-  /// Per-worker journal paths (empty when journal_dir was "").
-  const std::vector<std::string>& journal_paths() const;
-  /// Reads and merges the per-worker journals (core::merge_journals).
-  std::optional<core::JournalSnapshot> merged_journal(std::size_t* skipped = nullptr) const;
 
  private:
   struct Impl;

@@ -4,6 +4,7 @@
 #include <fstream>
 #include <set>
 #include <sstream>
+#include <stdexcept>
 #include <utility>
 
 #include "obs/json.h"
@@ -123,7 +124,9 @@ bool ResultCache::load() {
   std::ostringstream text;
   text << in.rdbuf();
   if (in.bad()) return false;
-  ingest(text.str());
+  const std::string contents = text.str();
+  torn_tail_ = !contents.empty() && contents.back() != '\n';
+  ingest(contents);
   return true;
 }
 
@@ -190,12 +193,17 @@ const core::TrialRecord* ResultCache::find(std::uint64_t identity,
 }
 
 void ResultCache::put(std::uint64_t identity, const core::TrialRecord& record) {
-  auto [it, fresh] = entries_.try_emplace({identity, record.key}, record);
-  if (!fresh) return;  // first occurrence wins, same as journal merge
-  if (path_.empty()) return;
-  std::ofstream out(path_, std::ios::binary | std::ios::app);
-  if (!out.is_open()) return;  // caching is best-effort, results are not
-  out << encode_line(identity, record);
+  std::pair<std::uint64_t, std::string> slot{identity, record.key};
+  if (entries_.contains(slot)) return;  // first occurrence wins, as at load
+  if (!path_.empty()) {
+    std::ofstream out(path_, std::ios::binary | std::ios::app);
+    if (torn_tail_) out << '\n';  // never glue a record onto a torn line
+    out << encode_line(identity, record);
+    out.flush();
+    if (!out) throw std::runtime_error("result cache: cannot append to " + path_);
+    torn_tail_ = false;
+  }
+  entries_.emplace(std::move(slot), record);
 }
 
 const core::TrialRecord* ResultCache::View::lookup(const std::string& key) {

@@ -1,12 +1,15 @@
-// Cross-campaign trial result cache (content-addressed memoization).
+// The trial store: content-addressed memoization of trial verdicts, and the
+// only place campaigns persist them.
 //
-// Running Table-I/II sweeps repeats a lot of work: the same strategy under
-// the same campaign identity (implementation, seed, workload, topology,
-// thresholds — see campaign_identity_hash) always produces the same
-// TrialRecord, because a trial is a pure function of (identity, canonical
-// strategy key). The cache remembers those records across campaigns *and*
-// across process runs: a JSONL file where each line carries the identity
-// hash, the record in the journal encoding, and a content checksum.
+// The same strategy under the same campaign identity (implementation, seed,
+// workload, topology, thresholds, fault plan — see campaign_identity_hash)
+// always produces the same TrialRecord, because a trial is a pure function
+// of (identity, canonical strategy key). The store remembers those records
+// across campaigns *and* across process runs: a JSONL file where each line
+// carries the identity hash, the record (core::write_json), and a content
+// checksum. That makes it the campaign checkpoint too: an interrupted
+// campaign re-run against the same file replays every stored verdict and
+// simulates only the rest, reproducing the uninterrupted result.
 //
 // Safety properties (tested in dist_test.cpp):
 //  - a View is pre-bound to one identity hash; entries stored under any
@@ -16,10 +19,12 @@
 //    record, so a tampered line (key swapped onto another verdict, edited
 //    detection payload, wrong campaign hash pasted in) fails validation and
 //    is dropped at load, counted in rejected();
-//  - a hit replays exactly like a journal resume — recorded verdict plus
-//    recorded generator feedback — so warm- and cold-cache campaigns produce
-//    equal CampaignResults (the controller commits hits in dispatch order
-//    like everything else).
+//  - a hit replays the recorded verdict plus the recorded generator
+//    feedback, so warm- and cold-cache campaigns produce equal
+//    CampaignResults (the controller commits hits in dispatch order like
+//    everything else);
+//  - a store that cannot persist a record throws, so the controller counts
+//    campaign.cache_errors and a resume knows which verdicts are missing.
 #pragma once
 
 #include <cstdint>
@@ -48,8 +53,9 @@ class ResultCache {
   ResultCache() = default;
 
   /// File-backed cache: load() reads `path` if it exists; every store()
-  /// appends one line to it (crash-atomic: a torn final line is skipped on
-  /// the next load like a torn journal tail).
+  /// appends and flushes one line, throwing std::runtime_error when the
+  /// open, write or flush fails. A killed writer leaves at most a torn final
+  /// line: load() rejects it, and the next append starts on a fresh line.
   explicit ResultCache(std::string path) : path_(std::move(path)) {}
 
   /// Loads the backing file. Missing file = empty cache, returns true.
@@ -107,6 +113,7 @@ class ResultCache {
   std::string path_;  ///< "" = memory-only
   std::map<std::pair<std::uint64_t, std::string>, core::TrialRecord> entries_;
   std::uint64_t rejected_ = 0;
+  bool torn_tail_ = false;  ///< loaded file ends mid-line
 };
 
 }  // namespace snake::dist

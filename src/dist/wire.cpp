@@ -419,7 +419,6 @@ std::string encode_campaign(const WorkerCampaign& wc) {
   w.key("search_mode").value(wc.search_mode);
   w.key("identity_hash").value(wc.identity_hash);
   w.key("worker_index").value(wc.worker_index);
-  w.key("journal_path").value(wc.journal_path);
   w.key("heartbeat_interval_ms").value(wc.heartbeat_interval_ms);
   w.key("heartbeat_timeout_ms").value(wc.heartbeat_timeout_ms);
   w.key("selfcheck").value(wc.selfcheck);
@@ -568,7 +567,6 @@ std::optional<Message> parse_message(std::string_view payload) {
         m.campaign.search_mode = "grid";
       m.campaign.identity_hash = u64_field(*doc, "identity_hash", 0);
       m.campaign.worker_index = static_cast<int>(i64_field(*doc, "worker_index", 0));
-      m.campaign.journal_path = str_field(*doc, "journal_path");
       m.campaign.heartbeat_interval_ms =
           static_cast<int>(i64_field(*doc, "heartbeat_interval_ms", 250));
       m.campaign.heartbeat_timeout_ms =

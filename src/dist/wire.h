@@ -4,10 +4,10 @@
 // Coordinator and workers talk over a SOCK_STREAM socketpair in
 // length-prefixed JSON frames: a 4-byte little-endian payload length
 // followed by one JSON document. JSON keeps every payload shared with the
-// journal / report / cache encodings (a TrialRecord travels the wire as the
-// exact journal line object), which is what makes the distributed campaign
-// bit-compatible with the single-process one; the length prefix makes
-// framing trivial and torn frames detectable.
+// report / store encodings (a TrialRecord travels the wire as the exact
+// record object a store line carries), which is what makes the distributed
+// campaign bit-compatible with the single-process one; the length prefix
+// makes framing trivial and torn frames detectable.
 //
 // Message flow, coordinator's view ("C" = coordinator, "W" = worker):
 //   W->C hello      protocol version + pid (sent immediately after exec)
@@ -145,9 +145,9 @@ const char* to_string(MsgType type);
 /// worker-specific options. The scenario travels field-by-field (TCP profile
 /// by name, durations as integer nanoseconds) so the worker reconstructs a
 /// config whose trials are bit-identical to the coordinator's. Pointers
-/// (metrics, faults, inspector, journal, resume, backend, cache) never
-/// cross the wire: metrics/inspector are worker-local, and a campaign with
-/// a fault plan refuses distribution outright (coordinator.cpp).
+/// (metrics, faults, inspector, backend, cache) never cross the wire:
+/// metrics/inspector are worker-local, and a campaign with a fault plan
+/// refuses distribution outright (coordinator.cpp).
 struct WorkerCampaign {
   core::ScenarioConfig scenario;  ///< pointer fields left null
   double detect_threshold = 0.5;
@@ -179,7 +179,6 @@ struct WorkerCampaign {
 
   std::uint64_t identity_hash = 0;  ///< campaign_identity_hash, cross-checked
   int worker_index = 0;
-  std::string journal_path;  ///< per-worker journal file ("" = none)
   int heartbeat_interval_ms = 250;
   /// The coordinator's liveness window, mirrored to the worker for
   /// diagnostics and so both ends agree on how patient the fleet is.

@@ -106,7 +106,7 @@ JsonWriter& JsonWriter::value(double v) {
     out_ += "null";  // JSON has no inf/nan
     return *this;
   }
-  // Round-trippable: checkpoint journals replay these values into exact
+  // Round-trippable: stored trial records replay these values into exact
   // equality comparisons, so the parsed double must equal the written one.
   // %.15g keeps common values short; fall back to %.17g when it loses bits.
   char buf[40];

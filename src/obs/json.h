@@ -102,7 +102,7 @@ struct JsonValue {
   double number_or(double fallback) const { return is_number() ? num_v : fallback; }
 };
 
-/// Maximum container nesting parse_json accepts. Every report and journal
+/// Maximum container nesting parse_json accepts. Every report and record
 /// this repo writes nests a handful of levels; the limit exists so a
 /// malicious or corrupted document ("[[[[[...") cannot overflow the parser's
 /// recursion stack (found by the codec fuzz suite, tests/fuzz_test.cpp).

@@ -82,15 +82,11 @@ struct SearchConfig {
   /// Weight of the state-coverage term against the detector-margin term in
   /// the fitness (see fitness_score).
   double coverage_weight = 0.5;
-  /// Commit interval between pool-state checkpoint lines appended to the
-  /// campaign journal (0 disables periodic checkpoints; a final one is
-  /// always written).
-  std::uint64_t checkpoint_interval = 16;
 };
 
 /// What the controller feeds back for one committed trial. Everything is
 /// derived from the committed TrialRecord and the controller's monotone
-/// covered-pair set, so a replayed trial (journal resume, warm cache) yields
+/// covered-pair set, so a replayed trial (store hit, resumed campaign) yields
 /// exactly the feedback the live run did.
 struct TrialFeedback {
   bool completed = false;  ///< verdict == kCompleted (quarantines score 0)
@@ -112,12 +108,11 @@ double fitness_score(const TrialFeedback& feedback, const SearchConfig& config);
 /// [energy_min, energy_max], monotone non-decreasing in fitness.
 std::uint32_t energy_for(double fitness, const SearchConfig& config);
 
-/// Serializable snapshot of the engine, checkpointed into the campaign
-/// journal (schema "snake-search-pool/v1"). Resume correctness never depends
-/// on it — a resumed campaign reconstructs the engine by deterministic
-/// replay — but the checkpoint makes search progress inspectable, lets the
-/// resilience suite prove the reconstruction equals the original, and is a
-/// hardened parse surface (fuzzed in tests/fuzz_test.cpp).
+/// Serializable snapshot of the engine (schema "snake-search-pool/v1").
+/// Campaigns never persist it: a resumed campaign reconstructs the engine by
+/// deterministically replaying the stored trials. The codec makes search
+/// progress inspectable and is a hardened parse surface (fuzzed in
+/// tests/fuzz_test.cpp).
 struct PoolState {
   std::uint64_t seed = 0;
   std::uint64_t mutation_counter = 0;
@@ -140,7 +135,7 @@ struct PoolState {
 
 inline constexpr std::string_view kPoolStateSchema = "snake-search-pool/v1";
 
-/// Writes the checkpoint as one JSON object (one journal line).
+/// Writes the snapshot as one JSON object.
 void write_json(obs::JsonWriter& w, const PoolState& state);
 
 /// Parses write_json's encoding. nullopt on anything malformed: wrong or

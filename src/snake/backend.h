@@ -80,10 +80,12 @@ class TrialBackend {
   virtual void finish(obs::MetricsRegistry* into) = 0;
 };
 
-/// Memoized trial verdicts, pre-bound to one campaign identity (see
-/// campaign_identity_hash). A hit replays exactly like a journal resume —
-/// recorded outcome plus recorded generator feedback — so cached and
-/// uncached campaigns produce equal results (enforced in dist_test.cpp).
+/// The trial store, pre-bound to one campaign identity (see
+/// campaign_identity_hash): the only place trial verdicts are kept. A hit
+/// replays the recorded outcome plus the recorded generator feedback, so
+/// cached and uncached campaigns produce equal results (enforced in
+/// dist_test.cpp), and re-running an interrupted campaign against the store
+/// it wrote resumes it (resilience_test.cpp, stability_test.cpp).
 class TrialCache {
  public:
   virtual ~TrialCache() = default;
@@ -93,6 +95,8 @@ class TrialCache {
   virtual const TrialRecord* lookup(const std::string& key) = 0;
 
   /// Remembers a freshly computed trial record. Called in commit order.
+  /// Throws when the record could not be persisted; the controller counts
+  /// that as campaign.cache_errors instead of a store.
   virtual void store(const TrialRecord& record) = 0;
 };
 

@@ -43,11 +43,6 @@ void count_detection_reasons(obs::MetricsRegistry* reg, const Detection& d,
 
 namespace {
 
-const TrialRecord* find_record(const JournalSnapshot& snapshot, const std::string& key) {
-  auto it = snapshot.trials.find(key);
-  return it == snapshot.trials.end() ? nullptr : &it->second;
-}
-
 void write_baseline_json(obs::JsonWriter& w, const RunMetrics& m) {
   w.begin_object();
   w.key("target_bytes").value(m.target_bytes);
@@ -62,10 +57,10 @@ void write_baseline_json(obs::JsonWriter& w, const RunMetrics& m) {
 }
 
 /// Rebuilds the tracker-observation form on_observations consumes from the
-/// journaled (state, packet type) send-pairs. The generator ignores
+/// recorded (state, packet type) send-pairs. The generator ignores
 /// receive-events and dedups internally, so feeding the deduplicated list —
-/// whether the trial ran live, was replayed from a journal or cache, or
-/// crossed a process boundary — reproduces its output verbatim.
+/// whether the trial ran live, was replayed from the store, or crossed a
+/// process boundary — reproduces its output verbatim.
 std::vector<statemachine::EndpointTracker::Observation> feedback_observations(
     const std::vector<JournalObservation>& pairs) {
   std::vector<statemachine::EndpointTracker::Observation> out;
@@ -74,10 +69,6 @@ std::vector<statemachine::EndpointTracker::Observation> feedback_observations(
     out.push_back({o.state, o.packet_type, statemachine::TriggerKind::kSend});
   return out;
 }
-
-/// Where a committed trial record came from; decides which tallies move and
-/// whether the record is journaled/cached.
-enum class TrialSource { kLive, kResume, kCache };
 
 }  // namespace
 
@@ -153,8 +144,6 @@ void CampaignResult::write_json(obs::JsonWriter& w) const {
   w.key("trials_errored").value(trials_errored);
   w.key("trials_retried").value(trials_retried);
   w.key("strategies_quarantined").value(static_cast<std::uint64_t>(quarantined.size()));
-  w.key("resume_skipped").value(resume_skipped);
-  w.key("journal_errors").value(journal_errors);
   w.key("quarantined").begin_array();
   for (const Quarantined& q : quarantined) {
     w.begin_object();
@@ -209,34 +198,6 @@ CampaignResult run_campaign(const CampaignConfig& config) {
   // the sim hot path never shares a metrics slot across threads.
   obs::MetricsRegistry main_registry;
   obs::MetricsRegistry* main_reg = config.collect_metrics ? &main_registry : nullptr;
-
-  // Resume: an incompatible snapshot (different protocol / implementation /
-  // seed / threshold / duration) would silently mix outcomes from a
-  // different campaign — ignore it and run everything live.
-  const JournalSnapshot* resume = config.resume;
-  if (resume != nullptr && !resume->compatible_with(config)) {
-    if (main_reg != nullptr) ++main_reg->counter("campaign.resume_incompatible");
-    resume = nullptr;
-  }
-  // Validate the resumed journal's last pool checkpoint through the strict
-  // search-library parser. A torn or poisoned checkpoint is rejected and
-  // counted; correctness is unaffected either way, because the resumed
-  // engine is reconstructed by replaying the journaled trials in order.
-  if (resume != nullptr && engine != nullptr && !resume->search_pool_json.empty()) {
-    if (search::pool_state_from_text(resume->search_pool_json).has_value()) {
-      if (main_reg != nullptr) ++main_reg->counter("campaign.search_pool_resumed");
-    } else {
-      if (main_reg != nullptr) ++main_reg->counter("campaign.search_pool_invalid");
-    }
-  }
-  if (config.journal != nullptr && config.resume == nullptr) {
-    try {
-      config.journal->write_header(config);
-    } catch (...) {
-      ++result.journal_errors;
-      if (main_reg != nullptr) ++main_reg->counter("campaign.journal_errors");
-    }
-  }
 
   // Non-attack baselines, one per seed used ("runs a non-attack test").
   // Fault rules are keyed by strategy id and target trials; the baselines
@@ -309,13 +270,13 @@ CampaignResult run_campaign(const CampaignConfig& config) {
   // ---- The deterministic dispatch/commit loop. Trials are numbered in
   // dispatch order and committed strictly in that order, whatever order the
   // backend finishes them in: generator feedback, the queue-shuffling RNG,
-  // journal appends and result accumulation all observe the same sequence a
+  // store appends and result accumulation all observe the same sequence a
   // one-executor campaign would, so the outcome is a pure function of the
   // seed for every backend and executor count.
   struct Pending {
     TrialRecord record;
     strategy::Strategy strat;
-    TrialSource source = TrialSource::kLive;
+    bool from_cache = false;  ///< replayed from the store, not simulated
   };
   std::map<std::uint64_t, Pending> pending;               // finished, awaiting commit
   std::map<std::uint64_t, strategy::Strategy> in_flight;  // submitted to the backend
@@ -331,20 +292,12 @@ CampaignResult run_campaign(const CampaignConfig& config) {
     const std::uint64_t seq = dispatched++;
     const std::string key = strategy::canonical_key(strat);
 
-    if (const TrialRecord* prior = resume != nullptr ? find_record(*resume, key) : nullptr;
-        prior != nullptr) {
-      // Resume fast path: replay the journaled outcome — detection payload,
-      // failure tallies, and the generator feedback — without running the
-      // simulation.
-      if (main_reg != nullptr) ++main_reg->counter("campaign.resume_skipped");
-      pending.emplace(seq, Pending{*prior, std::move(strat), TrialSource::kResume});
-      return;
-    }
     if (config.cache != nullptr) {
       if (const TrialRecord* hit = config.cache->lookup(key); hit != nullptr) {
-        // Cross-campaign cache hit: same replay discipline as resume.
+        // Store hit: replay the stored outcome — detection payload, failure
+        // tallies and generator feedback — without running the simulation.
         if (main_reg != nullptr) ++main_reg->counter("campaign.cache_hits");
-        pending.emplace(seq, Pending{*hit, std::move(strat), TrialSource::kCache});
+        pending.emplace(seq, Pending{*hit, std::move(strat), /*from_cache=*/true});
         return;
       }
     }
@@ -355,41 +308,16 @@ CampaignResult run_campaign(const CampaignConfig& config) {
     backend->submit(std::move(task));
   };
 
-  // Appends the engine's serialized pool state to the journal as its own
-  // line. Best-effort like trial appends: the journal is a checkpoint, the
-  // campaign result is not allowed to depend on it.
-  auto checkpoint_pool = [&]() {
-    if (engine == nullptr || config.journal == nullptr) return;
-    try {
-      obs::JsonWriter w;
-      search::write_json(w, engine->state());
-      config.journal->append_raw(w.take());
-    } catch (...) {
-      ++result.journal_errors;
-      if (main_reg != nullptr) ++main_reg->counter("campaign.journal_errors");
-    }
-  };
-
   auto commit_one = [&](Pending p) {
     TrialRecord& record = p.record;
     result.trials_aborted += record.aborted_attempts;
     result.trials_errored += record.errored_attempts;
     result.trials_retried += record.attempts - 1;
-    if (p.source == TrialSource::kResume) ++result.resume_skipped;
-    if (p.source == TrialSource::kCache) ++result.cache_hits;
+    if (p.from_cache) ++result.cache_hits;
 
-    // Checkpoint (resume replays are already in this journal). Best-effort:
-    // the results matter, the checkpoint does not.
-    if (p.source != TrialSource::kResume && config.journal != nullptr) {
-      try {
-        config.journal->append(record);
-      } catch (...) {
-        ++result.journal_errors;
-        if (main_reg != nullptr) ++main_reg->counter("campaign.journal_errors");
-      }
-    }
-    // Memoize fresh verdicts for future campaigns.
-    if (p.source == TrialSource::kLive && config.cache != nullptr) {
+    // Store fresh verdicts for later campaigns and resumes. A failed store
+    // is counted, never fatal: the results matter, the checkpoint does not.
+    if (!p.from_cache && config.cache != nullptr) {
       try {
         config.cache->store(record);
         ++result.cache_stores;
@@ -413,10 +341,10 @@ CampaignResult run_campaign(const CampaignConfig& config) {
       if (!fresh.empty()) backend->on_feedback(fresh);
       if (engine != nullptr) {
         // Greybox fitness feedback. Every ingredient is derived from the
-        // committed record and the monotone covered-pair set, so a replayed
-        // trial (resume, warm cache) feeds back exactly what the live run
-        // did — which is what keeps warm and cold greybox campaigns
-        // bit-identical.
+        // committed record and the monotone covered-pair set, so a trial
+        // replayed from the store feeds back exactly what the live run did —
+        // which is what keeps warm and cold (and resumed and uninterrupted)
+        // greybox campaigns bit-identical.
         search::TrialFeedback feedback;
         feedback.completed = true;
         feedback.found = record.found;
@@ -438,7 +366,7 @@ CampaignResult run_campaign(const CampaignConfig& config) {
       }
     } else {
       // Quarantined strategies score zero fitness but still advance the
-      // engine's trial counter, keeping checkpoints consistent.
+      // engine's trial counter, so replays rebuild the same pool.
       if (engine != nullptr) engine->on_result(p.strat, search::TrialFeedback{});
       CampaignResult::Quarantined q;
       q.strat = std::move(p.strat);
@@ -449,15 +377,12 @@ CampaignResult run_campaign(const CampaignConfig& config) {
       result.quarantined.push_back(std::move(q));
     }
     ++committed;
-    if (engine != nullptr && config.search.checkpoint_interval != 0 &&
-        committed % config.search.checkpoint_interval == 0)
-      checkpoint_pool();
     if (config.on_progress) config.on_progress(committed, queued_total);
   };
 
   while (true) {
-    // Dispatch ahead while there is queue and backend capacity; replayed
-    // trials (resume/cache) go straight to the commit buffer.
+    // Dispatch ahead while there is queue and backend capacity; store hits
+    // go straight to the commit buffer.
     while (!queue.empty() && in_flight.size() < backend->capacity()) {
       if (config.max_strategies != 0 && dispatched >= config.max_strategies) {
         queue.clear();
@@ -508,22 +433,19 @@ CampaignResult run_campaign(const CampaignConfig& config) {
       if (main_reg != nullptr) ++main_reg->counter("campaign.backend_bad_seq");
       continue;
     }
-    pending.emplace(out.seq, Pending{std::move(out.record), std::move(it->second),
-                                     TrialSource::kLive});
+    pending.emplace(out.seq, Pending{std::move(out.record), std::move(it->second)});
     in_flight.erase(it);
   }
 
   backend->finish(config.collect_metrics ? &result.metrics : nullptr);
   result.strategies_tried = dispatched;
   if (engine != nullptr) {
-    checkpoint_pool();  // final pool state, whatever the periodic cadence
     result.search_rounds = engine->rounds();
     result.search_mutations = engine->mutations_spawned();
   }
 
   // Quarantine commits happen in dispatch order already, but sort by
-  // canonical key so reports stay comparable with historic journals and
-  // independent of queue composition.
+  // canonical key so reports stay independent of queue composition.
   std::sort(result.quarantined.begin(), result.quarantined.end(),
             [](const CampaignResult::Quarantined& a, const CampaignResult::Quarantined& b) {
               return a.key < b.key;

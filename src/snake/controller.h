@@ -47,7 +47,8 @@ struct CampaignConfig {
   /// a grid one (enforced in tests/search_test.cpp). Like the generator
   /// config, the mode only changes *which* strategies get tried — it stays
   /// out of the campaign identity hash, so grid and greybox campaigns share
-  /// result-cache entries and resume journals.
+  /// one result cache. A greybox campaign resumed from the cache rebuilds
+  /// its pool by replaying the stored verdicts in commit order.
   search::SearchMode search_mode = search::SearchMode::kGrid;
   /// Greybox knobs (ignored in grid mode).
   search::SearchConfig search;
@@ -86,7 +87,7 @@ struct CampaignConfig {
   /// are equal on vs off (enforced in snapshot_test.cpp); the switch exists
   /// for A/B benchmarking and as an escape hatch. Rides the dist wire like
   /// use_snapshots and, like it, is excluded from the campaign identity hash
-  /// — flipping it does not invalidate a resume journal.
+  /// — flipping it does not invalidate stored verdicts.
   bool early_exit = true;
 
   /// Progress callback (strategies committed, total queued so far). Invoked
@@ -106,18 +107,6 @@ struct CampaignConfig {
   /// Per-retry seed perturbation. A pure function of the retry index, so
   /// campaigns stay reproducible for equal seeds.
   std::uint64_t retry_seed_offset = 7919;
-  /// Optional checkpoint journal (not owned). Every finished strategy is
-  /// appended as one JSONL line; append failures increment
-  /// campaign.journal_errors and never fail the campaign. The campaign
-  /// writes the header line iff `resume` is null (a resumed journal already
-  /// carries one).
-  TrialJournal* journal = nullptr;
-  /// Optional resume snapshot (not owned). Strategies found in it are not
-  /// re-run: their outcome, failure tallies and generator feedback are
-  /// replayed, so a resumed campaign reproduces the uninterrupted campaign's
-  /// result for equal seeds. Snapshots from an incompatible campaign
-  /// identity are ignored (campaign.resume_incompatible).
-  const JournalSnapshot* resume = nullptr;
 
   // --- Distribution layer (see DESIGN.md, "Distribution architecture") -----
   /// Optional trial-execution backend (not owned). Null runs the default
@@ -129,10 +118,13 @@ struct CampaignConfig {
   /// whose start() fails is abandoned for the in-process pool
   /// (campaign.backend_fallback).
   TrialBackend* backend = nullptr;
-  /// Optional cross-campaign result cache (not owned), pre-bound to this
-  /// campaign's identity hash (see dist::ResultCache). A hit skips the
-  /// simulation and replays the memoized record exactly like a journal
-  /// resume; cached and uncached campaigns produce equal results.
+  /// Optional trial store (not owned), pre-bound to this campaign's
+  /// identity hash (see dist::ResultCache). A hit skips the simulation and
+  /// replays the stored record — verdict, failure tallies and generator
+  /// feedback — so cached and uncached campaigns produce equal results.
+  /// This is also how a campaign resumes: re-run it against the store an
+  /// interrupted run wrote. A store that fails to persist a fresh verdict
+  /// counts campaign.cache_errors and never fails the campaign.
   TrialCache* cache = nullptr;
 };
 
@@ -189,16 +181,12 @@ struct CampaignResult {
   std::uint64_t trials_aborted = 0;  ///< attempts cut off by the watchdog
   std::uint64_t trials_errored = 0;  ///< attempts that threw
   std::uint64_t trials_retried = 0;  ///< retry attempts performed
-  /// Trials replayed from the resume snapshot instead of run. The only
-  /// resilience field that legitimately differs between a resumed campaign
-  /// and its uninterrupted twin (which has 0).
-  std::uint64_t resume_skipped = 0;
-  std::uint64_t journal_errors = 0;  ///< journal appends that threw
-  /// Trials whose verdict was replayed from the cross-campaign result cache
-  /// instead of simulated (CampaignConfig::cache). Like resume_skipped, a
-  /// legitimate difference between warm- and cold-cache twins.
+  /// Trials whose verdict was replayed from the trial store instead of
+  /// simulated (CampaignConfig::cache). With cache_stores, the only fields
+  /// that legitimately differ between warm- and cold-store twins — and so
+  /// between a resumed campaign and its uninterrupted twin.
   std::uint64_t cache_hits = 0;
-  std::uint64_t cache_stores = 0;  ///< fresh verdicts written to the cache
+  std::uint64_t cache_stores = 0;  ///< fresh verdicts the store persisted
 
   /// A strategy excluded from results because every attempt failed.
   struct Quarantined {

@@ -45,16 +45,14 @@ struct Detection {
 Detection detect(const RunMetrics& baseline, const RunMetrics& run,
                  double threshold = 0.5);
 
-/// Writes the detection as one JSON object. The field names are the ones the
-/// trial journal has always used (is_attack / target_ratio / competing_ratio
-/// / resource_exhaustion / reasons) — journal lines, campaign reports, the
+/// Writes the detection as one JSON object (is_attack / target_ratio /
+/// competing_ratio / resource_exhaustion / reasons) — campaign reports, the
 /// dist wire protocol and the result cache all share this encoding, and it
 /// round-trips exactly through detection_from_json (the JSON writer renders
 /// doubles round-trippably).
 void write_json(obs::JsonWriter& w, const Detection& d);
 
-/// Parses write_json's encoding; missing fields keep their defaults (a
-/// pre-existing journal tolerance this inherits).
+/// Parses write_json's encoding; missing fields keep their defaults.
 Detection detection_from_json(const obs::JsonValue& v);
 
 /// Scalar severity of a detection, used to rank strategies and to decide

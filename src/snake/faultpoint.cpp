@@ -11,7 +11,6 @@ const char* to_string(FaultKind kind) {
   switch (kind) {
     case FaultKind::kThrowInTrial: return "throw-in-trial";
     case FaultKind::kEventStorm: return "event-storm";
-    case FaultKind::kSerializeFailure: return "serialize-failure";
     case FaultKind::kClockStall: return "clock-stall";
   }
   return "?";

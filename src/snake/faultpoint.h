@@ -2,8 +2,7 @@
 //
 // A long campaign must survive individual trials misbehaving — an event
 // storm that never drains, a callback that stops advancing virtual time
-// while burning wall clock, an exception thrown on a worker thread, a
-// checkpoint write that fails. None of those paths can be exercised by
+// while burning wall clock, an exception thrown on a worker thread. None of those paths can be exercised by
 // normal strategies, so tests and benches compile in a FaultPlan: a set of
 // seed-/key-driven rules that make specific trials fail in specific ways,
 // exactly reproducibly.
@@ -30,17 +29,16 @@ namespace snake::core {
 
 /// The degradation paths the resilience layer must prove out.
 enum class FaultKind : std::uint8_t {
-  kThrowInTrial,      ///< an event callback throws mid-scenario
-  kEventStorm,        ///< self-rescheduling zero-delay event floods the queue
-  kSerializeFailure,  ///< journal append fails (checkpoint write error)
-  kClockStall,        ///< virtual time crawls while wall clock burns
+  kThrowInTrial,  ///< an event callback throws mid-scenario
+  kEventStorm,    ///< self-rescheduling zero-delay event floods the queue
+  kClockStall,    ///< virtual time crawls while wall clock burns
 };
 
-constexpr std::size_t kFaultKindCount = 4;
+constexpr std::size_t kFaultKindCount = 3;
 
 const char* to_string(FaultKind kind);
 
-/// Exception thrown by the throw-in-trial and serialize-failure sites.
+/// Exception thrown by the throw-in-trial site.
 struct FaultInjectedError : std::runtime_error {
   using std::runtime_error::runtime_error;
 };
@@ -80,6 +78,8 @@ class FaultPlan {
   }
 
   bool empty() const { return rules_.empty(); }
+  /// The rules in insertion order (campaign_identity_hash folds them in).
+  const std::vector<FaultRule>& rules() const { return rules_; }
 
  private:
   std::vector<FaultRule> rules_;

@@ -1,17 +1,12 @@
 #include "snake/journal.h"
 
-#include <cmath>
-#include <cstring>
-
 #include "obs/json.h"
-#include "search/search.h"
 #include "snake/controller.h"
+#include "snake/faultpoint.h"
 
 namespace snake::core {
 
 namespace {
-
-constexpr const char* kJournalSchema = "snake-trial-journal/v1";
 
 void write_observations(obs::JsonWriter& w, const char* key,
                         const std::vector<JournalObservation>& obs_list) {
@@ -56,7 +51,7 @@ std::uint64_t u64_field(const obs::JsonValue& obj, const char* key, std::uint64_
   if (v == nullptr || !v->is_number()) return fallback;
   // Range-check before converting: casting a negative / huge / NaN double to
   // an unsigned integer is undefined behaviour (fuzz-found via UBSan's
-  // float-cast-overflow on hand-corrupted journal lines).
+  // float-cast-overflow on hand-corrupted record lines).
   double d = v->num_v;
   if (!(d >= 0.0) || d >= 18446744073709551616.0) return fallback;  // !(>=0) catches NaN
   return static_cast<std::uint64_t>(d);
@@ -70,11 +65,6 @@ std::string str_field(const obs::JsonValue& obj, const char* key) {
 bool bool_field(const obs::JsonValue& obj, const char* key, bool fallback) {
   const obs::JsonValue* v = obj.find(key);
   return v != nullptr && v->is_bool() ? v->bool_v : fallback;
-}
-
-double num_field(const obs::JsonValue& obj, const char* key, double fallback) {
-  const obs::JsonValue* v = obj.find(key);
-  return v != nullptr ? v->number_or(fallback) : fallback;
 }
 
 }  // namespace
@@ -138,127 +128,6 @@ const char* to_string(TrialVerdict verdict) {
   return "?";
 }
 
-void TrialJournal::write_header(const CampaignConfig& config) {
-  obs::JsonWriter w;
-  w.begin_object();
-  w.key("schema").value(kJournalSchema);
-  w.key("protocol").value(to_string(config.scenario.protocol));
-  w.key("implementation")
-      .value(config.scenario.protocol == Protocol::kTcp ? config.scenario.tcp_profile.name
-                                                        : "linux-3.13");
-  w.key("seed").value(config.scenario.seed);
-  w.key("detect_threshold").value(config.detect_threshold);
-  w.key("duration_seconds").value(config.scenario.test_duration.to_seconds());
-  w.end_object();
-  std::string line = w.take();
-  line.push_back('\n');
-  std::lock_guard<std::mutex> lock(mutex_);
-  sink_(line);
-}
-
-void TrialJournal::append(const TrialRecord& record) {
-  obs::JsonWriter w;
-  write_json(w, record);
-  std::string line = w.take();
-  line.push_back('\n');
-  std::lock_guard<std::mutex> lock(mutex_);
-  sink_(line);
-}
-
-void TrialJournal::append_raw(std::string_view json_object_line) {
-  std::string line(json_object_line);
-  line.push_back('\n');
-  std::lock_guard<std::mutex> lock(mutex_);
-  sink_(line);
-}
-
-bool JournalSnapshot::compatible_with(const CampaignConfig& config) const {
-  const std::string impl = config.scenario.protocol == Protocol::kTcp
-                               ? config.scenario.tcp_profile.name
-                               : "linux-3.13";
-  return protocol == to_string(config.scenario.protocol) && implementation == impl &&
-         seed == config.scenario.seed &&
-         std::abs(detect_threshold - config.detect_threshold) < 1e-12 &&
-         std::abs(duration_seconds - config.scenario.test_duration.to_seconds()) < 1e-9;
-}
-
-std::optional<JournalSnapshot> load_journal(std::string_view text,
-                                            std::size_t* skipped_lines) {
-  JournalSnapshot snap;
-  if (skipped_lines != nullptr) *skipped_lines = 0;
-  bool have_header = false;
-  std::size_t pos = 0;
-  while (pos < text.size()) {
-    std::size_t nl = text.find('\n', pos);
-    // A journal line is only trustworthy once its newline hit the disk; an
-    // unterminated tail is the signature of a killed writer — skip it.
-    bool complete = nl != std::string_view::npos;
-    std::string_view line = complete ? text.substr(pos, nl - pos) : text.substr(pos);
-    pos = complete ? nl + 1 : text.size();
-    if (line.empty()) continue;
-    std::optional<obs::JsonValue> doc = complete ? obs::parse_json(line) : std::nullopt;
-    if (!doc.has_value() || !doc->is_object()) {
-      if (skipped_lines != nullptr) ++*skipped_lines;
-      continue;
-    }
-    if (!have_header) {
-      // First parseable line must be the header.
-      const obs::JsonValue* schema = doc->find("schema");
-      if (schema == nullptr || schema->str_v != kJournalSchema) return std::nullopt;
-      snap.protocol = str_field(*doc, "protocol");
-      snap.implementation = str_field(*doc, "implementation");
-      snap.seed = u64_field(*doc, "seed", 0);
-      snap.detect_threshold = num_field(*doc, "detect_threshold", 0.5);
-      snap.duration_seconds = num_field(*doc, "duration_seconds", 0.0);
-      have_header = true;
-      continue;
-    }
-    // Search-pool checkpoint lines ride the same journal. Keep the raw text
-    // of the last one (later checkpoints supersede earlier ones); the search
-    // library validates it, this loader only recognizes it.
-    if (const obs::JsonValue* schema = doc->find("schema");
-        schema != nullptr && schema->is_string() &&
-        schema->str_v == search::kPoolStateSchema) {
-      snap.search_pool_json.assign(line.data(), line.size());
-      continue;
-    }
-    std::optional<TrialRecord> rec = trial_record_from_json(*doc);
-    if (!rec.has_value()) {
-      if (skipped_lines != nullptr) ++*skipped_lines;
-      continue;
-    }
-    snap.trials[rec->key] = std::move(*rec);
-  }
-  if (!have_header) return std::nullopt;
-  return snap;
-}
-
-std::optional<JournalSnapshot> merge_journals(const std::vector<std::string_view>& parts,
-                                              std::size_t* skipped_lines) {
-  if (skipped_lines != nullptr) *skipped_lines = 0;
-  std::optional<JournalSnapshot> merged;
-  for (std::string_view part : parts) {
-    std::size_t skipped = 0;
-    std::optional<JournalSnapshot> snap = load_journal(part, &skipped);
-    if (skipped_lines != nullptr) *skipped_lines += skipped;
-    if (!snap.has_value()) return std::nullopt;
-    if (!merged.has_value()) {
-      merged = std::move(snap);
-      continue;
-    }
-    const bool same_identity =
-        merged->protocol == snap->protocol &&
-        merged->implementation == snap->implementation && merged->seed == snap->seed &&
-        std::abs(merged->detect_threshold - snap->detect_threshold) < 1e-12 &&
-        std::abs(merged->duration_seconds - snap->duration_seconds) < 1e-9;
-    if (!same_identity) return std::nullopt;
-    for (auto& [key, rec] : snap->trials) merged->trials.try_emplace(key, std::move(rec));
-    if (merged->search_pool_json.empty())
-      merged->search_pool_json = std::move(snap->search_pool_json);
-  }
-  return merged;
-}
-
 namespace {
 
 struct Fnv1a {
@@ -307,6 +176,15 @@ std::uint64_t campaign_identity_hash(const CampaignConfig& config) {
   h.u64(s.event_budget);
   h.f64(s.wall_limit_seconds);
   h.b(s.faults != nullptr);
+  if (s.faults != nullptr) {
+    h.u64(s.faults->rules().size());
+    for (const FaultRule& rule : s.faults->rules()) {
+      h.u64(static_cast<std::uint64_t>(rule.kind));
+      h.u64(rule.modulus);
+      h.u64(rule.remainder);
+      h.u64(rule.attempts);
+    }
+  }
   // Trace-replay workloads fold the full workload definition in; the bulk
   // workload appends nothing so historic identities are unchanged.
   if (s.workload == Workload::kTrace) {

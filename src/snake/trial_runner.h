@@ -38,11 +38,11 @@ struct TrialContext {
   SnapshotStore* snapshots = nullptr;
 };
 
-/// Converts a run's raw observation stream into the journaled form: the
+/// Converts a run's raw observation stream into the recorded form: the
 /// deduplicated (state, packet type) *send* pairs in first-occurrence order.
 /// This is exactly the subset StrategyGenerator::on_observations consumes
 /// (it ignores receive-events and dedups via its covered set), so feeding
-/// these pairs back — live, from a journal, or over a wire — reproduces the
+/// these pairs back — live, from the store, or over a wire — reproduces the
 /// generator's output verbatim.
 std::vector<JournalObservation> journal_observations(
     const std::vector<statemachine::EndpointTracker::Observation>& obs);

@@ -122,9 +122,9 @@ struct Strategy {
   std::string describe() const;
 };
 
-/// Content-addressed identity for checkpoint journals: a deterministic
+/// Content-addressed identity for the trial store: a deterministic
 /// rendering of every semantic field *except* the generation-order `id`, so
-/// a journaled trial is recognised by what the strategy does, not by the
+/// a stored trial is recognised by what the strategy does, not by the
 /// order the generator happened to emit it in. Two strategies compare equal
 /// under this key iff they drive the proxy identically.
 std::string canonical_key(const Strategy& s);

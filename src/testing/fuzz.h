@@ -3,8 +3,8 @@
 // Everything here is seeded: a (seed, corpus) pair expands into the same
 // mutant every run, so a crash found in CI is replayable locally from the
 // printed seed. Targets are the repo's untrusted-input surfaces — the packet
-// codec and header-format DSL, the JSON parser behind reports and journals,
-// and the journal loader — and the suite asserts no-crash/no-UB (under the
+// codec and header-format DSL, the JSON parser behind reports, and the
+// trial store's line parser — and the suite asserts no-crash/no-UB (under the
 // CI sanitizer jobs) plus round-trip identity where a codec promises one.
 //
 // The regression corpus in tests/corpus/ holds previously fuzz-found inputs;

@@ -97,7 +97,7 @@ struct ReplayPlan {
 ReplayPlan build_replay_plan(const ParsedTrace& trace, const ReplayOptions& options);
 
 /// Stable 64-bit FNV-1a over the trace text — folded into the campaign
-/// identity hash so journals from different traces never merge.
+/// identity hash so verdicts from different traces never mix.
 std::uint64_t trace_text_hash(const std::string& text);
 
 }  // namespace snake::trace

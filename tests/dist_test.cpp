@@ -7,10 +7,9 @@
 //  - the wire protocol: exact round-trips for Strategy / Detection /
 //    RunMetrics / TrialRecord, frame codec behaviour, worker-side steal
 //    handling driven by a hand-rolled coordinator;
-//  - the cross-campaign result cache: hit/miss scoping by campaign identity,
-//    checksum rejection of tampered (poisoned) lines, persistence;
-//  - crash-atomic multi-writer journals: merge_journals on interleaved
-//    parts, truncated tails, mismatched identities.
+//  - the trial store (result cache): hit/miss scoping by campaign identity,
+//    checksum rejection of tampered (poisoned) lines, persistence, and an
+//    identity hash that covers every outcome-relevant field.
 //
 // This binary supplies its own main(): a worker re-entered through
 // /proc/self/exe must take the --snake-worker-child branch before gtest
@@ -178,12 +177,14 @@ TEST(Distributed, MatchesSingleProcessCampaignExactly) {
   core::CampaignConfig config = small_campaign();
   core::CampaignResult single = core::run_campaign(config);
 
-  TempDir dir;
   dist::DistOptions options;
   options.workers = 2;
-  options.journal_dir = dir.path.string();
   dist::DistributedBackend backend(options);
   config.backend = &backend;
+  // The coordinator stores every committed verdict, whichever process ran it.
+  dist::ResultCache store;
+  auto store_view = store.view(core::campaign_identity_hash(config));
+  config.cache = &store_view;
 
   std::uint64_t last_done = 0, last_queued = 0;
   bool monotonic = true;
@@ -203,14 +204,8 @@ TEST(Distributed, MatchesSingleProcessCampaignExactly) {
   EXPECT_EQ(backend.workers_spawned(), 2);
   EXPECT_EQ(backend.workers_lost(), 0);
 
-  // Satellite: the per-worker journals merge into one snapshot covering
-  // every live-run trial, under the single campaign identity.
-  std::size_t skipped = 0;
-  auto merged = backend.merged_journal(&skipped);
-  ASSERT_TRUE(merged.has_value());
-  EXPECT_EQ(skipped, 0u);
-  EXPECT_EQ(merged->seed, config.scenario.seed);
-  EXPECT_EQ(merged->trials.size(), distributed.strategies_tried);
+  EXPECT_EQ(distributed.cache_stores, distributed.strategies_tried);
+  EXPECT_EQ(store.size(), distributed.strategies_tried);
 }
 
 TEST(Distributed, SackCampaignMatchesSingleProcessExactly) {
@@ -316,22 +311,31 @@ TEST(Distributed, CacheConflictTriggersVerificationWithoutQuarantine) {
   core::CampaignConfig config = small_campaign();
   const std::uint64_t identity = core::campaign_identity_hash(config);
 
-  // Honest first run; its journal supplies a real (key, record) pair.
+  // Honest first run; the store it writes supplies a real (key, record)
+  // pair — read back from the file, the way a later campaign would see it.
   TempDir dir;
+  const std::string store_path = (dir.path / "honest.jsonl").string();
   dist::DistOptions options;
   options.workers = 2;
-  options.journal_dir = dir.path.string();
   std::string honest_fp;
   core::TrialRecord truth;
   {
     dist::DistributedBackend backend(options);
+    dist::ResultCache store(store_path);
+    auto store_view = store.view(identity);
     config.backend = &backend;
+    config.cache = &store_view;
     core::CampaignResult result = core::run_campaign(config);
+    config.cache = nullptr;
     honest_fp = result_fingerprint(result);
-    auto merged = backend.merged_journal();
-    ASSERT_TRUE(merged.has_value());
-    ASSERT_FALSE(merged->trials.empty());
-    truth = merged->trials.begin()->second;
+    std::ifstream in(store_path);
+    std::string line;
+    ASSERT_TRUE(std::getline(in, line));
+    auto doc = obs::parse_json(line);
+    ASSERT_TRUE(doc.has_value() && doc->find("record") != nullptr);
+    auto record = core::trial_record_from_json(*doc->find("record"));
+    ASSERT_TRUE(record.has_value());
+    truth = *record;
   }
 
   // A cross-campaign cache carrying a *forged* version of that record: the
@@ -1112,6 +1116,53 @@ TEST(CampaignIdentity, SensitiveToOutcomeFieldsOnly) {
   changed.scenario.tcp_profile = tcp::linux_3_0_profile();
   EXPECT_NE(core::campaign_identity_hash(changed), base);
 
+  changed = config;
+  changed.scenario.topology.bottleneck_rate_bps *= 2;
+  EXPECT_NE(core::campaign_identity_hash(changed), base);
+
+  // The workload: a trace campaign never shares verdicts with a bulk one,
+  // and every trace input is part of the identity.
+  core::CampaignConfig trace = config;
+  trace.scenario.workload = core::Workload::kTrace;
+  trace.scenario.trace_text = "# snake-trace/v1\n0.0 f1 open\n0.5 f1 recv 4000\n";
+  const std::uint64_t trace_base = core::campaign_identity_hash(trace);
+  EXPECT_NE(trace_base, base);
+  changed = trace;
+  changed.scenario.trace_text += "1.0 f1 close\n";
+  EXPECT_NE(core::campaign_identity_hash(changed), trace_base);
+  changed = trace;
+  changed.scenario.trace_max_flows += 1;
+  EXPECT_NE(core::campaign_identity_hash(changed), trace_base);
+  changed = trace;
+  changed.scenario.trace_time_scale = 0.5;
+  EXPECT_NE(core::campaign_identity_hash(changed), trace_base);
+
+  // DCCP's congestion-control id changes every trial's dynamics.
+  core::CampaignConfig dccp = config;
+  dccp.scenario.protocol = core::Protocol::kDccp;
+  dccp.scenario.dccp_ccid = 2;
+  changed = dccp;
+  changed.scenario.dccp_ccid = 3;
+  EXPECT_NE(core::campaign_identity_hash(changed), core::campaign_identity_hash(dccp));
+
+  // A fault plan folds in rule by rule: no plan and five plans, each
+  // differing from the first in one rule field, are six identities.
+  using core::FaultKind;
+  using core::FaultRule;
+  const std::vector<FaultRule> rules = {
+      {FaultKind::kThrowInTrial, 3, 1, 1}, {FaultKind::kEventStorm, 3, 1, 1},
+      {FaultKind::kThrowInTrial, 5, 1, 1}, {FaultKind::kThrowInTrial, 3, 2, 1},
+      {FaultKind::kThrowInTrial, 3, 1, FaultRule::kAllAttempts}};
+  std::set<std::uint64_t> fault_identities = {base};
+  for (const FaultRule& rule : rules) {
+    core::FaultPlan plan;
+    plan.add(rule);
+    changed = config;
+    changed.scenario.faults = &plan;
+    fault_identities.insert(core::campaign_identity_hash(changed));
+  }
+  EXPECT_EQ(fault_identities.size(), 6u) << "a fault-rule field left the identity";
+
   // Fields that only change *which* strategies run, not any single trial's
   // outcome, must not invalidate the cache.
   changed = config;
@@ -1119,66 +1170,10 @@ TEST(CampaignIdentity, SensitiveToOutcomeFieldsOnly) {
   changed.max_strategies = 500;
   changed.combine_top = 3;
   changed.collect_metrics = false;
+  changed.search_mode = search::SearchMode::kGreybox;
+  changed.generator = strategy::tcp_sack_generator_config();
+  changed.generator.hitseq_max_packets = 123;
   EXPECT_EQ(core::campaign_identity_hash(changed), base);
-}
-
-// ---------------------------------------------------------------------------
-// Crash-atomic multi-writer journals.
-
-std::string journal_text(const core::CampaignConfig& config,
-                         const std::vector<core::TrialRecord>& records, bool header = true) {
-  std::string text;
-  core::TrialJournal journal([&](std::string_view line) { text.append(line); });
-  if (header) journal.write_header(config);
-  for (const core::TrialRecord& r : records) journal.append(r);
-  return text;
-}
-
-TEST(JournalMerge, InterleavedPartsUnionWithTruncatedTails) {
-  core::CampaignConfig config = small_campaign();
-  core::TrialRecord a = sample_record();
-  core::TrialRecord b = sample_record();
-  b.key = "delay|SYN_SENT|SYN|client->server";
-  b.found = false;
-  core::TrialRecord c = sample_record();
-  c.key = "duplicate|LAST_ACK|ACK|server->client";
-  c.verdict = core::TrialVerdict::kQuarantined;
-  c.found = false;
-
-  std::string part1 = journal_text(config, {a, b});
-  std::string part2 = journal_text(config, {c});
-  // Crash-truncate part2 mid-line: the complete lines must survive.
-  std::string part2_torn = part2 + journal_text(config, {a}, /*header=*/false)
-                                       .substr(0, 40);
-
-  std::size_t skipped = 0;
-  auto merged = core::merge_journals({part1, part2_torn}, &skipped);
-  ASSERT_TRUE(merged.has_value());
-  EXPECT_EQ(merged->trials.size(), 3u);
-  EXPECT_EQ(skipped, 1u);
-  EXPECT_TRUE(merged->trials.count(a.key));
-  EXPECT_TRUE(merged->trials.count(b.key));
-  EXPECT_EQ(merged->trials.at(c.key).verdict, core::TrialVerdict::kQuarantined);
-  EXPECT_EQ(merged->seed, config.scenario.seed);
-
-  // Duplicate keys across parts keep the first occurrence.
-  core::TrialRecord a2 = a;
-  a2.found = false;
-  std::string part3 = journal_text(config, {a2});
-  merged = core::merge_journals({part1, part3});
-  ASSERT_TRUE(merged.has_value());
-  EXPECT_TRUE(merged->trials.at(a.key).found) << "later part overwrote earlier record";
-}
-
-TEST(JournalMerge, MismatchedIdentityRejected) {
-  core::CampaignConfig config = small_campaign();
-  core::CampaignConfig other = config;
-  other.scenario.seed += 5;
-  std::string part1 = journal_text(config, {sample_record()});
-  std::string part2 = journal_text(other, {sample_record()});
-  EXPECT_FALSE(core::merge_journals({part1, part2}).has_value());
-  EXPECT_FALSE(core::merge_journals({part1, "no header\n"}).has_value());
-  EXPECT_TRUE(core::merge_journals({part1, part1}).has_value());
 }
 
 }  // namespace

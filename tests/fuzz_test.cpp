@@ -1,6 +1,6 @@
 // Mutation fuzzing of the untrusted-input surfaces: the packet codec and
-// header-format DSL, the JSON parser behind reports/journals, and the
-// journal loader. Deterministic — every mutant derives from a printed seed.
+// header-format DSL, the JSON parser behind reports, and the trial store's
+// line parser. Deterministic — every mutant derives from a printed seed.
 // The CI sanitizer jobs run this suite under ASan/UBSan; the assertions here
 // are no-crash (only documented exception types escape) plus round-trip
 // identity where a codec promises one.
@@ -12,6 +12,7 @@
 #include <map>
 #include <stdexcept>
 
+#include "dist/result_cache.h"
 #include "dist/wire.h"
 #include "obs/json.h"
 #include "packet/dccp_format.h"
@@ -95,40 +96,76 @@ TEST(CorpusRegression, JsonMalformedTokensRejected) {
   }
 }
 
-TEST(CorpusRegression, JournalCorpusLoadsWithoutCrashing) {
-  std::vector<CorpusFile> files = corpus("journal");
-  ASSERT_FALSE(files.empty());
-  for (const CorpusFile& f : files) (void)core::load_journal(f.contents);
+TEST(CorpusRegression, StoreCorpusIngestsWithoutCrashing) {
+  std::vector<CorpusFile> files = corpus("store");
+  ASSERT_FALSE(files.empty()) << "corpus dir missing: " SNAKE_CORPUS_DIR "/store";
+  // valid_* files hold only lines the store must accept; every other file
+  // carries at least one line it must reject.
+  for (const CorpusFile& f : files) {
+    dist::ResultCache store;
+    store.ingest(f.contents);
+    if (f.name.rfind("valid_", 0) == 0)
+      EXPECT_EQ(store.rejected(), 0u) << f.name;
+    else
+      EXPECT_GT(store.rejected(), 0u) << f.name;
+  }
 }
 
-TEST(CorpusRegression, JournalTruncatedTailSkippedGarbageTolerated) {
-  std::vector<CorpusFile> files = corpus("journal");
-  const CorpusFile* truncated = find_file(files, "truncated_tail.jsonl");
-  ASSERT_TRUE(truncated);
-  std::size_t skipped = 0;
-  auto snap = core::load_journal(truncated->contents, &skipped);
-  ASSERT_TRUE(snap.has_value());
-  EXPECT_TRUE(snap->trials.count("k5"));
-  EXPECT_FALSE(snap->trials.count("k6"));
-  EXPECT_GE(skipped, 1u);
-
-  const CorpusFile* garbage = find_file(files, "garbage_lines.jsonl");
-  ASSERT_TRUE(garbage);
-  snap = core::load_journal(garbage->contents);
-  ASSERT_TRUE(snap.has_value());
-  EXPECT_TRUE(snap->trials.count("k7"));
-
-  for (const char* name : {"missing_header.jsonl", "wrong_schema.jsonl"}) {
+TEST(CorpusRegression, StoreTornForgedAndGarbageLinesRejected) {
+  std::vector<CorpusFile> files = corpus("store");
+  constexpr std::uint64_t kIdentity = 0x1234;
+  // Each damaged file wraps one good line ("k-good") in torn, garbage,
+  // forged-checksum, forged-verdict, re-homed or incomplete lines: the good
+  // line survives, every other line is rejected, nothing else hits.
+  const std::vector<std::pair<const char*, std::uint64_t>> damaged = {
+      {"torn_tail.jsonl", 1},        {"garbage_lines.jsonl", 4},
+      {"forged_checksum.jsonl", 1},  {"forged_verdict.jsonl", 1},
+      {"rehomed_identity.jsonl", 1}, {"missing_fields.jsonl", 4}};
+  for (const auto& [name, rejected] : damaged) {
     const CorpusFile* f = find_file(files, name);
     ASSERT_TRUE(f) << name;
-    EXPECT_FALSE(core::load_journal(f->contents).has_value()) << name;
+    dist::ResultCache store;
+    store.ingest(f->contents);
+    EXPECT_EQ(store.size(), 1u) << name;
+    EXPECT_EQ(store.rejected(), rejected) << name;
+    EXPECT_NE(store.view(kIdentity).lookup("k-good"), nullptr) << name;
   }
+
+  // Accepted lines are scoped by their identity.
+  const CorpusFile* valid = find_file(files, "valid_records.jsonl");
+  ASSERT_TRUE(valid);
+  dist::ResultCache store;
+  store.ingest(valid->contents);
+  EXPECT_EQ(store.size(), 3u);
+  const core::TrialRecord* found =
+      store.view(kIdentity).lookup("drop|ESTABLISHED|ACK|client->server");
+  ASSERT_NE(found, nullptr);
+  EXPECT_TRUE(found->found);
+  EXPECT_EQ(found->detection.reasons.size(), 1u);
+  EXPECT_EQ(store.view(kIdentity).lookup("k-other-campaign"), nullptr);
+  EXPECT_NE(store.view(0xdeadbeef).lookup("k-other-campaign"), nullptr);
+
+  // Hostile field values parse to safe defaults instead of UB (negative or
+  // huge counts, non-string observations and reasons).
+  const CorpusFile* hostile = find_file(files, "valid_hostile_fields.jsonl");
+  ASSERT_TRUE(hostile);
+  dist::ResultCache tolerant;
+  tolerant.ingest(hostile->contents);
+  ASSERT_EQ(tolerant.size(), 5u);
+  auto view = tolerant.view(kIdentity);
+  EXPECT_EQ(view.lookup("k1")->attempts, 1u);
+  EXPECT_EQ(view.lookup("k1")->aborted_attempts, 0u);
+  EXPECT_EQ(view.lookup("k2")->attempts, 1u);
+  EXPECT_EQ(view.lookup("k3")->client_obs,
+            (std::vector<core::JournalObservation>{{"EST", "ack"}}));
+  EXPECT_EQ(view.lookup("k4")->detection.reasons, std::vector<std::string>{"real-reason"});
+  EXPECT_FALSE(view.lookup("k5")->found);
 }
 
 TEST(CorpusRegression, SearchPoolCorpusAcceptsAndRejectsAsDocumented) {
   std::vector<CorpusFile> files = corpus("search_pool");
   ASSERT_FALSE(files.empty()) << "corpus dir missing: " SNAKE_CORPUS_DIR "/search_pool";
-  // Well-formed checkpoints load; loading is what journal resume relies on.
+  // Well-formed snapshots load.
   for (const char* name : {"valid.json", "valid_empty_pool.json"}) {
     const CorpusFile* f = find_file(files, name);
     ASSERT_TRUE(f) << name;
@@ -381,16 +418,16 @@ TEST(ParserFuzz, JsonMutantsNeverCrashAndSurvivorsReachEmitFixpoint) {
       << "seed " << failure->seed << " (base corpus varies by seed): " << failure->message;
 }
 
-TEST(ParserFuzz, JournalMutantsNeverCrash) {
-  std::vector<CorpusFile> seeds = corpus("journal");
+TEST(ParserFuzz, StoreLineMutantsNeverCrash) {
+  std::vector<CorpusFile> seeds = corpus("store");
   ASSERT_FALSE(seeds.empty());
   PropertyConfig config = PropertyConfig::from_env(2'000);
   auto failure = for_each_seed(config, [&](std::uint64_t seed) -> std::optional<std::string> {
     Rng rng(seed);
     const CorpusFile& base = seeds[rng.uniform(0, seeds.size() - 1)];
     std::string mutant = mutate_text(rng, base.contents);
-    std::size_t skipped = 0;
-    (void)core::load_journal(mutant, &skipped);  // must terminate, no crash/UB
+    dist::ResultCache store;
+    store.ingest(mutant);  // must terminate, no crash/UB
     return std::nullopt;
   });
   EXPECT_FALSE(failure.has_value())

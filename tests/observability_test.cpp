@@ -119,13 +119,20 @@ TEST(Observability, CampaignReportMatchesSchema) {
   const obs::JsonValue* resilience = parsed->find("resilience");
   ASSERT_NE(resilience, nullptr);
   for (const char* field : {"trials_aborted", "trials_errored", "trials_retried",
-                            "strategies_quarantined", "resume_skipped", "journal_errors"}) {
+                            "strategies_quarantined"}) {
     ASSERT_NE(resilience->find(field), nullptr) << field;
     EXPECT_TRUE(resilience->find(field)->is_number()) << field;
   }
   ASSERT_NE(resilience->find("quarantined"), nullptr);
   EXPECT_TRUE(resilience->find("quarantined")->is_array());
   EXPECT_EQ(resilience->find("quarantined")->array_v.size(), result.quarantined.size());
+  // Store block: a resumed campaign shows up as cache hits.
+  const obs::JsonValue* cache = parsed->find("cache");
+  ASSERT_NE(cache, nullptr);
+  for (const char* field : {"hits", "stores"}) {
+    ASSERT_NE(cache->find(field), nullptr) << field;
+    EXPECT_TRUE(cache->find(field)->is_number()) << field;
+  }
 
   // Metrics snapshot: per-stage timings and per-attack-action counts.
   const obs::JsonValue* metrics = parsed->find("metrics");
@@ -208,7 +215,7 @@ TEST(Observability, ResilienceCountersMergeAcrossExecutors) {
   EXPECT_EQ(result.metrics.counter("campaign.trials_retried"), result.trials_retried);
   EXPECT_EQ(result.metrics.counter("campaign.strategies_quarantined"),
             result.quarantined.size());
-  EXPECT_EQ(result.resume_skipped, 0u);
+  EXPECT_EQ(result.cache_hits, 0u);
   // The scheduler-level watchdog counter saw at least every campaign abort.
   EXPECT_GE(result.metrics.counter("sim.watchdog_trips"), result.trials_aborted);
 }

@@ -1,17 +1,22 @@
 // Campaign resilience layer tests: trial watchdogs (event budget +
 // wall-clock deadline), deterministic fault injection, the trial guard with
-// retry/quarantine, and the JSONL checkpoint journal. Every degradation
+// retry/quarantine, and resuming from the trial store. Every degradation
 // path the layer exists to contain is driven here on purpose:
-//   - event storm       -> event-budget abort
-//   - clock stall       -> wall-clock abort
-//   - throw-in-trial    -> errored attempt, retry or quarantine
-//   - serialize failure -> journal_errors, campaign unharmed
+//   - event storm        -> event-budget abort
+//   - clock stall        -> wall-clock abort
+//   - throw-in-trial     -> errored attempt, retry or quarantine
+//   - failed store write -> campaign.cache_errors, campaign unharmed
+//   - killed writer      -> torn store tail dropped, resume still exact
 #include <gtest/gtest.h>
 
+#include <unistd.h>
+
+#include <filesystem>
+#include <fstream>
 #include <functional>
 #include <string>
-#include <string_view>
 
+#include "dist/result_cache.h"
 #include "search/search.h"
 #include "sim/scheduler.h"
 #include "snake/controller.h"
@@ -136,7 +141,7 @@ TEST(FaultPlan, RulesMatchByKindKeyAndAttempt) {
 
   EXPECT_EQ(plan.fires(FaultKind::kThrowInTrial), 1u);
   EXPECT_EQ(plan.fires(FaultKind::kEventStorm), 2u);
-  EXPECT_EQ(plan.fires(FaultKind::kSerializeFailure), 0u);
+  EXPECT_EQ(plan.fires(FaultKind::kClockStall), 0u);
 }
 
 // ------------------------------------------------- scenario-level guards
@@ -261,7 +266,61 @@ TEST(CampaignResilience, WatchdogAbortQuarantinesAndExecutorStaysClean) {
     EXPECT_EQ(result.quarantined[i].key, again.quarantined[i].key);
 }
 
-// ------------------------------------------------------------- journal
+// ------------------------------------------------------ resume from store
+// A campaign resumes by re-running against the store an interrupted run
+// wrote: every stored verdict under the exact campaign identity replays
+// through the controller's cache path, the rest is simulated.
+
+namespace fs = std::filesystem;
+
+struct TempDir {
+  fs::path path;
+  TempDir() {
+    static int n = 0;
+    path = fs::temp_directory_path() /
+           ("snake-resilience-" + std::to_string(::getpid()) + "-" + std::to_string(n++));
+    fs::create_directories(path);
+  }
+  ~TempDir() {
+    std::error_code ec;
+    fs::remove_all(path, ec);
+  }
+};
+
+/// Runs `config` against the file-backed store at `path` (loaded first, the
+/// way a restarted bench opens it).
+CampaignResult run_with_store(CampaignConfig config, const std::string& path) {
+  dist::ResultCache store(path);
+  EXPECT_TRUE(store.load());
+  dist::ResultCache::View view = store.view(campaign_identity_hash(config));
+  config.cache = &view;
+  return run_campaign(config);
+}
+
+/// Everything a resumed (or store-backed) campaign must share with its cold
+/// twin. Cache tallies and metrics legitimately differ.
+void expect_same_result(const CampaignResult& a, const CampaignResult& b) {
+  EXPECT_EQ(a.summary_row(), b.summary_row());
+  EXPECT_EQ(a.strategies_tried, b.strategies_tried);
+  EXPECT_EQ(a.unique_signatures, b.unique_signatures);
+  EXPECT_EQ(a.trials_to_first_attack, b.trials_to_first_attack);
+  EXPECT_EQ(a.search_rounds, b.search_rounds);
+  EXPECT_EQ(a.search_mutations, b.search_mutations);
+  EXPECT_EQ(a.trials_errored, b.trials_errored);
+  EXPECT_EQ(a.trials_retried, b.trials_retried);
+  ASSERT_EQ(a.found.size(), b.found.size());
+  for (std::size_t i = 0; i < a.found.size(); ++i) {
+    EXPECT_EQ(strategy::canonical_key(a.found[i].strat),
+              strategy::canonical_key(b.found[i].strat));
+    EXPECT_EQ(a.found[i].signature, b.found[i].signature);
+    EXPECT_DOUBLE_EQ(a.found[i].detection.target_ratio, b.found[i].detection.target_ratio);
+    EXPECT_DOUBLE_EQ(a.found[i].detection.competing_ratio,
+                     b.found[i].detection.competing_ratio);
+  }
+  ASSERT_EQ(a.quarantined.size(), b.quarantined.size());
+  for (std::size_t i = 0; i < a.quarantined.size(); ++i)
+    EXPECT_EQ(a.quarantined[i].key, b.quarantined[i].key);
+}
 
 TrialRecord sample_found_record() {
   TrialRecord r;
@@ -283,228 +342,205 @@ TrialRecord sample_found_record() {
   return r;
 }
 
-TEST(Journal, RoundTripsHeaderAndRecords) {
-  std::string text;
-  TrialJournal journal([&](std::string_view line) { text.append(line); });
-  CampaignConfig config = small_campaign();
-  journal.write_header(config);
-  journal.append(sample_found_record());
+TEST(ResumeFromStore, RoundTripsRecordsThroughTheFile) {
+  TempDir dir;
+  const std::string path = (dir.path / "store.jsonl").string();
+  const std::uint64_t identity = campaign_identity_hash(small_campaign());
   TrialRecord quarantined;
   quarantined.key = "inject|...|SYN";
   quarantined.verdict = TrialVerdict::kAborted;
   quarantined.attempts = 2;
   quarantined.aborted_attempts = 2;
   quarantined.failure_reason = "event-budget";
-  journal.append(quarantined);
+  {
+    dist::ResultCache writer(path);
+    dist::ResultCache::View view = writer.view(identity);
+    view.store(sample_found_record());
+    view.store(quarantined);
+  }
 
-  std::size_t skipped = 99;
-  auto snap = load_journal(text, &skipped);
-  ASSERT_TRUE(snap.has_value());
-  EXPECT_EQ(skipped, 0u);
-  EXPECT_TRUE(snap->compatible_with(config));
-  ASSERT_EQ(snap->trials.size(), 2u);
+  dist::ResultCache reader(path);
+  ASSERT_TRUE(reader.load());
+  EXPECT_EQ(reader.size(), 2u);
+  EXPECT_EQ(reader.rejected(), 0u);
+  dist::ResultCache::View view = reader.view(identity);
+  const TrialRecord* f = view.lookup(sample_found_record().key);
+  ASSERT_NE(f, nullptr);
+  EXPECT_EQ(f->verdict, TrialVerdict::kCompleted);
+  EXPECT_EQ(f->attempts, 2u);
+  EXPECT_EQ(f->errored_attempts, 1u);
+  EXPECT_TRUE(f->found);
+  EXPECT_TRUE(f->detection.is_attack);
+  EXPECT_DOUBLE_EQ(f->detection.target_ratio, 0.12);
+  EXPECT_TRUE(f->detection.resource_exhaustion);
+  EXPECT_EQ(f->detection.reasons.size(), 2u);
+  EXPECT_EQ(f->cls, AttackClass::kTrueAttack);
+  EXPECT_EQ(f->signature, "drop/RST effect=resource_exhaustion");
+  EXPECT_EQ(f->client_obs, sample_found_record().client_obs);
+  EXPECT_EQ(f->server_obs, sample_found_record().server_obs);
 
-  const TrialRecord& f = snap->trials.at(sample_found_record().key);
-  EXPECT_EQ(f.verdict, TrialVerdict::kCompleted);
-  EXPECT_EQ(f.attempts, 2u);
-  EXPECT_EQ(f.errored_attempts, 1u);
-  EXPECT_TRUE(f.found);
-  EXPECT_TRUE(f.detection.is_attack);
-  EXPECT_DOUBLE_EQ(f.detection.target_ratio, 0.12);
-  EXPECT_TRUE(f.detection.resource_exhaustion);
-  EXPECT_EQ(f.detection.reasons.size(), 2u);
-  EXPECT_EQ(f.cls, AttackClass::kTrueAttack);
-  EXPECT_EQ(f.signature, "drop/RST effect=resource_exhaustion");
-  EXPECT_EQ(f.client_obs, sample_found_record().client_obs);
-  EXPECT_EQ(f.server_obs, sample_found_record().server_obs);
+  const TrialRecord* q = view.lookup("inject|...|SYN");
+  ASSERT_NE(q, nullptr);
+  EXPECT_EQ(q->verdict, TrialVerdict::kAborted);
+  EXPECT_EQ(q->aborted_attempts, 2u);
+  EXPECT_EQ(q->failure_reason, "event-budget");
+  EXPECT_FALSE(q->found);
 
-  const TrialRecord& q = snap->trials.at("inject|...|SYN");
-  EXPECT_EQ(q.verdict, TrialVerdict::kAborted);
-  EXPECT_EQ(q.aborted_attempts, 2u);
-  EXPECT_EQ(q.failure_reason, "event-budget");
-  EXPECT_FALSE(q.found);
-
-  // A differently-seeded campaign is a different identity.
-  CampaignConfig other = config;
+  // A differently-seeded campaign is a different identity: nothing hits.
+  CampaignConfig other = small_campaign();
   other.scenario.seed += 1;
-  EXPECT_FALSE(snap->compatible_with(other));
+  dist::ResultCache::View other_view = reader.view(campaign_identity_hash(other));
+  EXPECT_EQ(other_view.lookup(sample_found_record().key), nullptr);
 }
 
-TEST(Journal, ToleratesTruncatedTailFromKilledRun) {
-  std::string text;
-  TrialJournal journal([&](std::string_view line) { text.append(line); });
+TEST(ResumeFromStore, KilledWriterTornTailIsDroppedAndResumeStaysExact) {
+  TempDir dir;
+  const std::string path = (dir.path / "store.jsonl").string();
   CampaignConfig config = small_campaign();
-  journal.write_header(config);
-  journal.append(sample_found_record());
-  TrialRecord second = sample_found_record();
-  second.key = "another|key";
-  journal.append(second);
+  config.executors = 1;
+  const CampaignResult uninterrupted = run_campaign(config);
 
-  // Kill the writer mid-line: the last record loses its tail.
-  std::string truncated = text.substr(0, text.size() - 25);
-  std::size_t skipped = 0;
-  auto snap = load_journal(truncated, &skipped);
-  ASSERT_TRUE(snap.has_value());
-  EXPECT_EQ(snap->trials.size(), 1u);
-  EXPECT_EQ(skipped, 1u);
-  EXPECT_TRUE(snap->trials.contains(sample_found_record().key));
+  CampaignConfig interrupted = config;
+  interrupted.max_strategies = 6;
+  EXPECT_EQ(run_with_store(interrupted, path).cache_stores, 6u);
+  // Kill the writer mid-line: the last stored record loses its tail.
+  fs::resize_file(path, fs::file_size(path) - 25);
 
-  // Garbage-only input has no header: refuse rather than resume from noise.
-  EXPECT_FALSE(load_journal("not json\n{\"key\":\"x\"}\n").has_value());
+  dist::ResultCache torn(path);
+  ASSERT_TRUE(torn.load());
+  EXPECT_EQ(torn.size(), 5u);
+  EXPECT_EQ(torn.rejected(), 1u);
+
+  const CampaignResult resumed = run_with_store(config, path);
+  EXPECT_EQ(resumed.cache_hits, 5u);
+  EXPECT_EQ(resumed.cache_stores, resumed.strategies_tried - 5);
+  expect_same_result(resumed, uninterrupted);
+
+  // The resumed run started its appends on a fresh line, so the torn
+  // fragment stays the file's only damage and every verdict is stored.
+  dist::ResultCache after(path);
+  ASSERT_TRUE(after.load());
+  EXPECT_EQ(after.size(), uninterrupted.strategies_tried);
+  EXPECT_EQ(after.rejected(), 1u);
+  // Duplicates keep the first occurrence, so a later conflicting line (two
+  // writers, or a forged append) never overrides a stored verdict.
+  TrialRecord first = sample_found_record();
+  TrialRecord second = first;
+  second.found = false;
+  dist::ResultCache dup;
+  dup.ingest(dist::ResultCache::encode_line(7, first) + dist::ResultCache::encode_line(7, second));
+  ASSERT_EQ(dup.size(), 1u);
+  EXPECT_TRUE(dup.view(7).lookup(first.key)->found);
 }
 
-TEST(Journal, SerializeFailureCountsErrorsButCampaignSurvives) {
-  FaultPlan plan;
-  plan.add(FaultRule{FaultKind::kSerializeFailure, 2, 0, FaultRule::kAllAttempts});
-  std::uint64_t appended = 0;
-  std::uint64_t seq = 0;
-  TrialJournal journal([&](std::string_view) {
-    // The sink consults the plan the way a failing disk would: every other
-    // line fails to persist.
-    if (plan.should_fire(FaultKind::kSerializeFailure, seq++))
-      throw FaultInjectedError("fault point: serialize-failure");
-    ++appended;
-  });
-
+TEST(ResumeFromStore, FailedAppendsCountAsErrorsNotStores) {
+  // A store whose file cannot be created: every append throws, the
+  // controller counts each one, and the campaign result is untouched.
+  TempDir dir;
+  const std::string path = (dir.path / "missing-dir" / "store.jsonl").string();
   CampaignConfig config = small_campaign();
-  config.journal = &journal;
-  CampaignResult with_journal = run_campaign(config);
-  config.journal = nullptr;
-  CampaignResult without_journal = run_campaign(config);
+  CampaignResult with_store = run_with_store(config, path);
+  const CampaignResult without_store = run_campaign(config);
 
-  EXPECT_GT(with_journal.journal_errors, 0u);
-  EXPECT_GT(appended, 0u);
-  // Checkpointing is best-effort: a failing journal never changes results.
-  EXPECT_EQ(with_journal.summary_row(), without_journal.summary_row());
-  EXPECT_EQ(with_journal.unique_signatures, without_journal.unique_signatures);
+  EXPECT_EQ(with_store.metrics.counter("campaign.cache_errors"), with_store.strategies_tried);
+  EXPECT_EQ(with_store.cache_stores, 0u);
+  EXPECT_EQ(with_store.cache_hits, 0u);
+  expect_same_result(with_store, without_store);
+  EXPECT_FALSE(fs::exists(path));
 }
 
-TEST(Journal, IncompatibleResumeSnapshotIsIgnored) {
-  std::string text;
-  TrialJournal journal([&](std::string_view line) { text.append(line); });
+TEST(ResumeFromStore, OtherCampaignsStoreNeverHits) {
+  TempDir dir;
+  const std::string path = (dir.path / "store.jsonl").string();
   CampaignConfig recorded = small_campaign();
-  recorded.scenario.seed = 777;  // journal from a different campaign
-  journal.write_header(recorded);
-  journal.append(sample_found_record());
-  auto snap = load_journal(text);
-  ASSERT_TRUE(snap.has_value());
+  recorded.scenario.seed = 777;  // a store written by a different campaign
+  EXPECT_EQ(run_with_store(recorded, path).cache_stores, 12u);
 
   CampaignConfig config = small_campaign();
-  config.resume = &*snap;
-  CampaignResult result = run_campaign(config);
-  EXPECT_EQ(result.resume_skipped, 0u);
-  EXPECT_EQ(result.metrics.counter("campaign.resume_incompatible"), 1u);
+  const CampaignResult result = run_with_store(config, path);
+  EXPECT_EQ(result.cache_hits, 0u);
   EXPECT_EQ(result.strategies_tried, 12u);
+  expect_same_result(result, run_campaign(config));
+}
+
+// The identity hash is the store's only gate, so every workload input must
+// be in it. These two pairs share seed and profile and differ only in the
+// workload: a resume must not replay one's verdicts into the other.
+
+constexpr const char* kReplayTrace =
+    "# snake-trace/v1\n"
+    "0.0 web1 open\n"
+    "0.2 web1 recv 80000\n"
+    "0.6 web1 send 1500\n"
+    "1.0 web1 recv 120000\n"
+    "2.0 web1 close\n"
+    "0.3 web2 open\n"
+    "0.8 web2 recv 50000\n"
+    "2.5 web2 close\n"
+    "1.2 api open\n"
+    "1.4 api send 700\n"
+    "1.6 api recv 25000\n";
+
+TEST(ResumeFromStore, TraceCampaignIgnoresBulkStore) {
+  TempDir dir;
+  const std::string path = (dir.path / "store.jsonl").string();
+  CampaignConfig bulk = small_campaign();
+  bulk.max_strategies = 8;
+  EXPECT_EQ(run_with_store(bulk, path).cache_stores, 8u);
+
+  CampaignConfig trace = bulk;
+  trace.scenario.workload = Workload::kTrace;
+  trace.scenario.trace_text = kReplayTrace;
+  const CampaignResult warm = run_with_store(trace, path);
+  EXPECT_EQ(warm.cache_hits, 0u);
+  expect_same_result(warm, run_campaign(trace));
+}
+
+TEST(ResumeFromStore, Ccid3CampaignIgnoresCcid2Store) {
+  TempDir dir;
+  const std::string path = (dir.path / "store.jsonl").string();
+  CampaignConfig ccid2;
+  ccid2.scenario.protocol = Protocol::kDccp;
+  ccid2.scenario.test_duration = Duration::seconds(5.0);
+  ccid2.scenario.seed = 5;
+  ccid2.scenario.dccp_ccid = 2;
+  ccid2.generator = strategy::dccp_generator_config();
+  ccid2.executors = 2;
+  ccid2.max_strategies = 8;
+  EXPECT_EQ(run_with_store(ccid2, path).cache_stores, 8u);
+
+  CampaignConfig ccid3 = ccid2;
+  ccid3.scenario.dccp_ccid = 3;
+  const CampaignResult warm = run_with_store(ccid3, path);
+  EXPECT_EQ(warm.cache_hits, 0u);
+  expect_same_result(warm, run_campaign(ccid3));
 }
 
 // ------------------------------------------------- greybox search resume
 
-TEST(Journal, GreyboxResumedCampaignEqualsUninterruptedTwin) {
-  auto greybox_campaign = [] {
-    CampaignConfig c = small_campaign();
-    c.max_strategies = 14;
-    c.search_mode = search::SearchMode::kGreybox;
-    c.search.round_size = 4;            // several refill barriers in 14 trials
-    c.search.max_mutations = 12;
-    c.search.checkpoint_interval = 3;   // pool checkpoints mid-campaign too
-    return c;
-  };
-
-  // "Interrupted" campaign: dies after 7 of the 14 trials. The journal
-  // carries trial records AND serialized pool-state checkpoints; tear its
-  // tail mid-line the way a killed process would leave it.
-  std::string journal_text;
-  {
-    TrialJournal journal([&](std::string_view line) { journal_text.append(line); });
-    CampaignConfig interrupted = greybox_campaign();
-    interrupted.max_strategies = 7;
-    interrupted.journal = &journal;
-    run_campaign(interrupted);
-  }
-  journal_text.resize(journal_text.size() - 10);
-  auto snapshot = load_journal(journal_text);
-  ASSERT_TRUE(snapshot.has_value());
-  EXPECT_EQ(snapshot->trials.size(), 7u);
-  // The loader surfaced the last *complete* pool checkpoint, and it parses.
-  ASSERT_FALSE(snapshot->search_pool_json.empty());
-  auto pool = search::pool_state_from_text(snapshot->search_pool_json);
-  ASSERT_TRUE(pool.has_value());
-  EXPECT_GT(pool->trials_seen, 0u);
-
-  std::string resumed_journal_text;
-  TrialJournal resumed_journal(
-      [&](std::string_view line) { resumed_journal_text.append(line); });
-  CampaignConfig full = greybox_campaign();
-  CampaignResult uninterrupted = run_campaign(full);
-  full.resume = &*snapshot;
-  full.journal = &resumed_journal;
-  // A resumed run appends to the existing journal rather than re-writing the
-  // header; this test uses a fresh sink, so supply the header itself.
-  resumed_journal.write_header(full);
-  CampaignResult resumed = run_campaign(full);
-
-  // Resume correctness comes from deterministic replay — every journaled
-  // verdict feeds the engine in commit order — so the resumed campaign must
-  // equal its uninterrupted twin bit for bit, search trajectory included.
-  EXPECT_EQ(resumed.resume_skipped, 7u);
-  EXPECT_EQ(uninterrupted.resume_skipped, 0u);
-  EXPECT_EQ(resumed.metrics.counter("campaign.search_pool_resumed"), 1u);
-  EXPECT_EQ(resumed.summary_row(), uninterrupted.summary_row());
-  EXPECT_EQ(resumed.unique_signatures, uninterrupted.unique_signatures);
-  EXPECT_EQ(resumed.strategies_tried, uninterrupted.strategies_tried);
-  EXPECT_EQ(resumed.trials_to_first_attack, uninterrupted.trials_to_first_attack);
-  EXPECT_EQ(resumed.search_rounds, uninterrupted.search_rounds);
-  EXPECT_EQ(resumed.search_mutations, uninterrupted.search_mutations);
-  ASSERT_EQ(resumed.found.size(), uninterrupted.found.size());
-  for (std::size_t i = 0; i < resumed.found.size(); ++i) {
-    EXPECT_EQ(strategy::canonical_key(resumed.found[i].strat),
-              strategy::canonical_key(uninterrupted.found[i].strat));
-    EXPECT_EQ(resumed.found[i].signature, uninterrupted.found[i].signature);
-  }
-
-  // The resumed run's final pool checkpoint equals the engine state the
-  // uninterrupted twin would have reached (replay rebuilt the pool exactly).
-  auto resumed_snap = load_journal(resumed_journal_text);
-  ASSERT_TRUE(resumed_snap.has_value());
-  auto resumed_pool = search::pool_state_from_text(resumed_snap->search_pool_json);
-  ASSERT_TRUE(resumed_pool.has_value());
-
-  std::string twin_journal_text;
-  TrialJournal twin_journal([&](std::string_view line) { twin_journal_text.append(line); });
-  CampaignConfig twin = greybox_campaign();
-  twin.journal = &twin_journal;
-  run_campaign(twin);
-  auto twin_snap = load_journal(twin_journal_text);
-  ASSERT_TRUE(twin_snap.has_value());
-  auto twin_pool = search::pool_state_from_text(twin_snap->search_pool_json);
-  ASSERT_TRUE(twin_pool.has_value());
-  EXPECT_TRUE(*resumed_pool == *twin_pool);
-}
-
-TEST(Journal, TornPoolCheckpointDoesNotPoisonResume) {
-  // A journal whose ONLY pool line is torn: the trial prefix still resumes,
-  // the poisoned checkpoint is counted and ignored.
-  std::string text;
-  TrialJournal journal([&](std::string_view line) { text.append(line); });
+TEST(ResumeFromStore, GreyboxResumedCampaignEqualsUninterruptedTwin) {
+  TempDir dir;
+  const std::string path = (dir.path / "store.jsonl").string();
   CampaignConfig config = small_campaign();
+  config.max_strategies = 14;
   config.search_mode = search::SearchMode::kGreybox;
-  journal.write_header(config);
-  journal.append(sample_found_record());
-  // A poisoned checkpoint a crashing writer could leave: right schema so the
-  // loader surfaces it, garbage shape so validation must reject it.
-  journal.append_raw(R"({"schema":"snake-search-pool/v1","seed":"not a number"})");
-  auto snap = load_journal(text);
-  ASSERT_TRUE(snap.has_value());
-  EXPECT_EQ(snap->trials.size(), 1u);
-  EXPECT_FALSE(snap->search_pool_json.empty());
-  EXPECT_FALSE(search::pool_state_from_text(snap->search_pool_json).has_value());
+  config.search.round_size = 4;  // several refill barriers in 14 trials
+  config.search.max_mutations = 12;
+  const CampaignResult uninterrupted = run_campaign(config);
 
-  config.resume = &*snap;
-  CampaignResult result = run_campaign(config);
-  EXPECT_EQ(result.metrics.counter("campaign.search_pool_invalid"), 1u);
-  EXPECT_EQ(result.metrics.counter("campaign.search_pool_resumed"), 0u);
-  // The campaign still ran to completion; a bad checkpoint never blocks it.
-  EXPECT_EQ(result.strategies_tried, 12u);
+  // "Interrupted" campaign: dies after 7 of the 14 trials, store survives.
+  CampaignConfig interrupted = config;
+  interrupted.max_strategies = 7;
+  EXPECT_EQ(run_with_store(interrupted, path).cache_stores, 7u);
+
+  // Resume correctness comes from deterministic replay — every stored
+  // verdict feeds the engine in commit order — so the resumed campaign
+  // equals its uninterrupted twin, search trajectory included.
+  const CampaignResult resumed = run_with_store(config, path);
+  EXPECT_EQ(resumed.cache_hits, 7u);
+  EXPECT_EQ(resumed.cache_stores, resumed.strategies_tried - 7);
+  EXPECT_GT(resumed.search_rounds, 1u) << "campaign never crossed a refill barrier";
+  expect_same_result(resumed, uninterrupted);
 }
 
 // ----------------------------------------------------- canonical identity

@@ -341,7 +341,7 @@ TEST(PoolState, RejectsTornAndPoisonedCheckpoints) {
       "{}",
       "[]",
       "42",
-      R"({"schema":"snake-trial-journal/v1"})",
+      R"({"schema":"snake-campaign-report/v1"})",
       R"({"schema":"snake-search-pool/v1"})",  // all counters missing
       // Negative / fractional counters.
       valid.substr(0, valid.find("\"seed\":9")) + R"("seed":-1})",
@@ -393,10 +393,8 @@ TEST(GreyboxCampaign, DistributedMatchesSingleProcessExactly) {
   core::CampaignConfig config = greybox_campaign();
   const core::CampaignResult single = core::run_campaign(config);
 
-  TempDir dir;
   dist::DistOptions options;
   options.workers = 2;
-  options.journal_dir = dir.path.string();
   dist::DistributedBackend backend(options);
   config.backend = &backend;
   core::CampaignResult distributed = core::run_campaign(config);
@@ -439,7 +437,7 @@ TEST(GreyboxCampaign, SearchModeStaysOutOfCampaignIdentity) {
   const std::uint64_t greybox = core::campaign_identity_hash(config);
   config.search_mode = search::SearchMode::kGrid;
   EXPECT_EQ(core::campaign_identity_hash(config), greybox)
-      << "search mode must not invalidate caches/journals: it only changes "
+      << "search mode must not invalidate stored verdicts: it only changes "
          "which strategies get tried, never a single trial's outcome";
 }
 
@@ -505,16 +503,10 @@ TEST(Differential, GreyboxSupersetsGridUnderThreadBackend) {
 }
 
 TEST(Differential, GreyboxSupersetsGridUnderDistributedBackend) {
-  TempDir grid_dir;
-  TempDir greybox_dir;
-  dist::DistOptions grid_options;
-  grid_options.workers = 2;
-  grid_options.journal_dir = grid_dir.path.string();
-  dist::DistributedBackend grid_backend(grid_options);
-  dist::DistOptions greybox_options;
-  greybox_options.workers = 2;
-  greybox_options.journal_dir = greybox_dir.path.string();
-  dist::DistributedBackend greybox_backend(greybox_options);
+  dist::DistOptions options;
+  options.workers = 2;
+  dist::DistributedBackend grid_backend(options);
+  dist::DistributedBackend greybox_backend(options);
   expect_greybox_supersets_grid(&grid_backend, &greybox_backend);
 }
 

@@ -3,9 +3,12 @@
 // baseline fairness, clean teardown, attack repeatability.
 #include <gtest/gtest.h>
 
-#include <string>
-#include <string_view>
+#include <unistd.h>
 
+#include <filesystem>
+#include <string>
+
+#include "dist/result_cache.h"
 #include "snake/controller.h"
 #include "snake/detector.h"
 #include "snake/faultpoint.h"
@@ -88,8 +91,8 @@ INSTANTIATE_TEST_SUITE_P(Seeds, SeedSweep, ::testing::Values(1, 7, 42, 1234, 999
 // --------------------------------------------------- resilience seed sweep
 // The resilience layer must not cost the campaign its determinism contract:
 // watchdog-aborted campaigns reproduce exactly for equal seeds, and a
-// journaled campaign resumed after an interrupt equals its uninterrupted
-// twin field by field.
+// campaign resumed from the trial store an interrupted run wrote equals its
+// uninterrupted twin field by field.
 
 class ResilienceSweep : public ::testing::TestWithParam<std::uint64_t> {
  protected:
@@ -149,36 +152,43 @@ TEST_P(ResilienceSweep, WatchdogAbortedCampaignsAreDeterministic) {
 }
 
 TEST_P(ResilienceSweep, ResumedCampaignEqualsUninterruptedRun) {
-  // Faults make the journal carry all verdict shapes: retried-then-completed
+  // Faults make the store carry all verdict shapes: retried-then-completed
   // (transient throw) and quarantined (persistent throw).
   FaultPlan faults;
   faults.add(FaultRule{FaultKind::kThrowInTrial, 3, 1, 1});
   faults.add(FaultRule{FaultKind::kThrowInTrial, 5, 2, FaultRule::kAllAttempts});
+  CampaignConfig config = campaign(GetParam());
+  config.scenario.faults = &faults;
+  const std::uint64_t identity = campaign_identity_hash(config);
+  const std::filesystem::path path =
+      std::filesystem::temp_directory_path() /
+      ("snake-stability-" + std::to_string(::getpid()) + "-" + std::to_string(GetParam()));
+  std::filesystem::remove(path);
 
-  // "Interrupted" campaign: dies after 6 of the 12 trials, journal survives.
-  std::string journal_text;
+  // "Interrupted" campaign: dies after 6 of the 12 trials, its store
+  // survives on disk.
   {
-    TrialJournal journal([&](std::string_view line) { journal_text.append(line); });
-    CampaignConfig interrupted = campaign(GetParam());
-    interrupted.scenario.faults = &faults;
+    dist::ResultCache store(path.string());
+    dist::ResultCache::View view = store.view(identity);
+    CampaignConfig interrupted = config;
     interrupted.max_strategies = 6;
-    interrupted.journal = &journal;
-    run_campaign(interrupted);
+    interrupted.cache = &view;
+    EXPECT_EQ(run_campaign(interrupted).cache_stores, 6u) << "seed " << GetParam();
   }
-  auto snapshot = load_journal(journal_text);
-  ASSERT_TRUE(snapshot.has_value()) << "seed " << GetParam();
-  EXPECT_EQ(snapshot->trials.size(), 6u);
 
-  CampaignConfig full = campaign(GetParam());
-  full.scenario.faults = &faults;
-  CampaignResult uninterrupted = run_campaign(full);
-  full.resume = &*snapshot;
-  CampaignResult resumed = run_campaign(full);
+  CampaignResult uninterrupted = run_campaign(config);
+  dist::ResultCache store(path.string());
+  ASSERT_TRUE(store.load());
+  EXPECT_EQ(store.size(), 6u);
+  dist::ResultCache::View view = store.view(identity);
+  config.cache = &view;
+  CampaignResult resumed = run_campaign(config);
+  std::filesystem::remove(path);
 
-  // resume_skipped is the one field allowed to differ: it records that the
-  // resumed run replayed the journaled prefix instead of re-running it.
-  EXPECT_EQ(resumed.resume_skipped, 6u);
-  EXPECT_EQ(uninterrupted.resume_skipped, 0u);
+  // The cache tallies are the fields allowed to differ: the resumed run
+  // replayed the stored prefix instead of re-running it.
+  EXPECT_EQ(resumed.cache_hits, 6u);
+  EXPECT_EQ(resumed.cache_stores, resumed.strategies_tried - 6);
   expect_equal_results(resumed, uninterrupted);
 }
 

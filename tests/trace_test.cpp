@@ -324,8 +324,8 @@ TEST(TraceCampaign, IdentityHashCoversTraceContent) {
   other_scale.scenario.trace_time_scale = 0.5;
   EXPECT_NE(core::campaign_identity_hash(other_scale), h);
 
-  // A bulk campaign ignores the trace fields entirely: journals and cache
-  // entries from pre-trace builds keep their identity.
+  // A bulk campaign ignores the trace fields entirely: stored verdicts from
+  // pre-trace builds keep their identity.
   CampaignConfig bulk = trace_campaign();
   bulk.scenario.workload = Workload::kBulk;
   CampaignConfig bulk_stale = trace_campaign();
