@@ -6,7 +6,7 @@
 //                  [--selfcheck] [--workers N] [--result-cache PATH]
 //                  [--result-cache-compact]
 //                  [--snapshots on|off] [--early-exit on|off]
-//                  [--engine wheel|heap] [--search grid|greybox]
+//                  [--search grid|greybox]
 //                  [--space default|enlarged]
 //                  [--tcp-profile NAME] [--workload bulk|trace:FILE]
 //                  [--trace-flows N]
@@ -47,9 +47,7 @@
 //
 // --early-exit off disables the deterministic quiescence cut, running every
 // trial's virtual clock all the way out (equal detections either way —
-// scheduler_engine_test.cpp enforces it). --engine heap swaps the timer
-// wheel for the reference binary-heap ready queue (identical event order,
-// enforced by the same suite); both are A/B switches for the event-engine
+// scheduler_engine_test.cpp enforces it); the A/B switch for the early-exit
 // speedup.
 //
 // --selfcheck attaches the property-suite invariant oracles (clock
@@ -111,7 +109,6 @@
 #include "dist/worker.h"
 #include "obs/json.h"
 #include "search/search.h"
-#include "sim/scheduler.h"
 #include "snake/controller.h"
 #include "snake/faultpoint.h"
 #include "statemachine/protocol_specs.h"
@@ -184,7 +181,7 @@ int usage(const char* argv0, const std::string& problem) {
                "       [--selfcheck] [--workers N] [--result-cache PATH]\n"
                "       [--result-cache-compact]\n"
                "       [--snapshots on|off] [--early-exit on|off]\n"
-               "       [--engine wheel|heap] [--search grid|greybox]\n"
+               "       [--search grid|greybox]\n"
                "       [--space default|enlarged]\n"
                "       [--tcp-profile NAME] [--workload bulk|trace:FILE]\n"
                "       [--trace-flows N]\n"
@@ -228,8 +225,8 @@ int main(int argc, char** argv) {
   std::size_t trace_flows = 8;
   const std::set<std::string> valued_flags = {
       "--cap", "--duration", "--executors", "--protocol", "--json", "--baseline",
-      "--workers", "--result-cache", "--snapshots", "--early-exit", "--engine",
-      "--search", "--space", "--tcp-profile", "--workload", "--trace-flows",
+      "--workers", "--result-cache", "--snapshots", "--early-exit", "--search",
+      "--space", "--tcp-profile", "--workload", "--trace-flows",
       "--heartbeat-timeout-ms", "--respawn-limit", "--verify-sample", "--chaos",
       "--chaos-period"};
   for (int i = 1; i < argc; ++i) {
@@ -276,10 +273,6 @@ int main(int argc, char** argv) {
       use_snapshots = std::strcmp(value, "off") != 0;
     } else if (flag == "--early-exit") {
       early_exit = std::strcmp(value, "off") != 0;
-    } else if (flag == "--engine") {
-      sim::Scheduler::set_default_engine(!std::strcmp(value, "heap")
-                                             ? sim::SchedulerEngine::kBinaryHeap
-                                             : sim::SchedulerEngine::kTimerWheel);
     } else if (flag == "--search") {
       auto mode = search::search_mode_from_string(value);
       if (!mode.has_value()) {
@@ -302,7 +295,6 @@ int main(int argc, char** argv) {
       trace_flows = static_cast<std::size_t>(std::strtoull(value, nullptr, 10));
     }
   }
-  const char* engine_name = sim::to_string(sim::Scheduler::default_engine());
 
   CampaignConfig config;
   config.scenario.protocol = protocol;
@@ -436,8 +428,8 @@ int main(int argc, char** argv) {
 
   std::printf(
       "== Campaign throughput: %llu strategies, %.0fs virtual, %d executors "
-      "(%s, %s engine, %s search%s%s%s%s%s) ==\n",
-      (unsigned long long)cap, duration, executors, to_string(protocol), engine_name,
+      "(%s, %s search%s%s%s%s%s) ==\n",
+      (unsigned long long)cap, duration, executors, to_string(protocol),
       search::to_string(search_mode),
       selfcheck ? ", selfcheck" : "",
       workers > 0 ? ", distributed" : "",
@@ -617,7 +609,6 @@ int main(int argc, char** argv) {
   w.key("seed").value(config.scenario.seed);
   w.key("use_snapshots").value(use_snapshots);
   w.key("early_exit").value(early_exit);
-  w.key("engine").value(engine_name);
   w.key("search").value(search::to_string(search_mode));
   w.key("space").value(enlarged_space ? "enlarged" : "default");
   if (protocol == Protocol::kTcp) w.key("tcp_profile").value(config.scenario.tcp_profile.name);

@@ -4,6 +4,9 @@
 //
 //   bench_table2 [--json PATH] [--journal PATH] [--resume]
 //
+// An unknown flag, or a flag missing its value, prints the usage to stderr
+// and exits 2, as bench_table1 and bench_campaign do.
+//
 // --json records every row as a structured report ("snake-bench-table2/v1")
 // so bench trajectories can be diffed across revisions.
 //
@@ -18,7 +21,6 @@
 // known attacks rather than searching a strategy space, so grid-vs-greybox
 // (bench_table1 / bench_campaign) does not apply.
 #include <cstdio>
-#include <cstring>
 #include <functional>
 #include <map>
 #include <memory>
@@ -349,6 +351,14 @@ void dccp_request_termination() {
   row("DCCP", "REQUEST Connection Termination", "Client DoS", "No", buf);
 }
 
+int usage(const char* argv0, const std::string& problem) {
+  std::fprintf(stderr,
+               "%s: %s\n"
+               "usage: %s [--json PATH] [--journal PATH] [--resume]\n",
+               argv0, problem.c_str(), argv0);
+  return 2;
+}
+
 }  // namespace
 
 int main(int argc, char** argv) {
@@ -356,9 +366,15 @@ int main(int argc, char** argv) {
   const char* row_journal_path = nullptr;
   bool resume = false;
   for (int i = 1; i < argc; ++i) {
-    if (!std::strcmp(argv[i], "--json") && i + 1 < argc) json_path = argv[++i];
-    else if (!std::strcmp(argv[i], "--journal") && i + 1 < argc) row_journal_path = argv[++i];
-    else if (!std::strcmp(argv[i], "--resume")) resume = true;
+    const std::string flag = argv[i];
+    if (flag == "--resume") {
+      resume = true;
+      continue;
+    }
+    if (flag != "--json" && flag != "--journal")
+      return usage(argv[0], "unknown flag " + flag);
+    if (i + 1 >= argc) return usage(argv[0], flag + " needs a value");
+    (flag == "--json" ? json_path : row_journal_path) = argv[++i];
   }
   if (resume && row_journal_path == nullptr) {
     std::fprintf(stderr, "--resume requires --journal PATH\n");

@@ -65,8 +65,16 @@ class BulkHttpServer {
   static constexpr Duration kPumpInterval = Duration::millis(10);
 };
 
+/// Mutable client state, declared once (see tcp::TcpEndpointState for the
+/// pattern); the endpoint pointer is session-stable and stays outside.
+struct BulkHttpClientState {
+  std::uint64_t bytes_received_ = 0;
+  bool established_ = false;
+  bool reset_ = false;
+};
+
 /// HTTP-like bulk client (wget). Connects at construction.
-class BulkHttpClient {
+class BulkHttpClient : private BulkHttpClientState {
  public:
   /// If `exit_after` is set, the client application exits abruptly that long
   /// after connecting (see TcpEndpoint::app_exit).
@@ -78,23 +86,11 @@ class BulkHttpClient {
   bool reset() const { return reset_; }
   tcp::TcpEndpoint& endpoint() { return *endpoint_; }
 
-  /// Mutable client state (the endpoint pointer is session-stable).
-  struct Snapshot {
-    std::uint64_t bytes_received = 0;
-    bool established = false;
-    bool reset = false;
-  };
-  Snapshot capture() const { return Snapshot{bytes_received_, established_, reset_}; }
-  void restore(const Snapshot& snap) {
-    bytes_received_ = snap.bytes_received;
-    established_ = snap.established;
-    reset_ = snap.reset;
-  }
+  using Snapshot = BulkHttpClientState;
+  Snapshot capture() const { return *this; }
+  void restore(const Snapshot& snap) { Snapshot::operator=(snap); }
 
  private:
-  std::uint64_t bytes_received_ = 0;
-  bool established_ = false;
-  bool reset_ = false;
   tcp::TcpEndpoint* endpoint_ = nullptr;
 };
 

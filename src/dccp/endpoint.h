@@ -81,7 +81,46 @@ struct DccpEndpointConfig {
   Duration sync_rate_limit = Duration::millis(10);
 };
 
-class DccpEndpoint {
+/// Every mutable per-connection member of a DccpEndpoint, declared once;
+/// see TcpEndpointState for the pattern. Identity members (node, config,
+/// callbacks) stay in DccpEndpoint. Timer handles are copied verbatim, valid
+/// against the matching Scheduler::Snapshot.
+struct DccpEndpointState {
+  DccpEndpointState(snake::Rng rng, Duration rto) : rng_(rng), rto_(rto) {}
+
+  snake::Rng rng_;
+  DccpState state_ = DccpState::kClosed;
+  bool released_ = false;
+
+  Seq48 iss_ = 0;
+  Seq48 gss_ = 0;  ///< greatest sequence sent
+  Seq48 isr_ = 0;
+  Seq48 gsr_ = 0;  ///< greatest valid sequence received
+  bool have_gsr_ = false;
+
+  std::deque<Bytes> tx_queue_;
+  bool close_pending_ = false;
+
+  Ccid2 cc_;
+  std::optional<Ccid3Sender> ccid3_tx_;
+  std::optional<Ccid3Receiver> ccid3_rx_;
+  sim::Timer pace_timer_;
+  sim::Timer feedback_timer_;
+  sim::Timer no_feedback_timer_;
+  std::optional<Duration> srtt_;
+  TimePoint connect_time_;
+  Duration rttvar_ = Duration::zero();
+  Duration rto_;
+  sim::Timer rto_timer_;
+  sim::Timer time_wait_timer_;
+  sim::Timer handshake_timer_;
+  int handshake_retries_ = 0;
+  TimePoint last_sync_sent_ = TimePoint::origin() - Duration::seconds(1.0);
+
+  DccpEndpointStats stats_;
+};
+
+class DccpEndpoint : private DccpEndpointState {
  public:
   DccpEndpoint(sim::Node& node, DccpEndpointConfig config, DccpCallbacks callbacks,
                snake::Rng rng);
@@ -110,34 +149,9 @@ class DccpEndpoint {
   void on_packet(const DccpPacket& packet);
 
   // ---- Snapshot support --------------------------------------------------
-  /// Every mutable per-connection member by value; identity members (node_,
-  /// config_, callbacks_) are session-stable and excluded. Timer handles are
-  /// captured verbatim — valid against the matching Scheduler::Snapshot.
-  /// Keep in lockstep with the member list below.
-  struct Snapshot {
-    snake::Rng rng{0};
-    DccpState state = DccpState::kClosed;
-    bool released = false;
-    Seq48 iss = 0, gss = 0, isr = 0, gsr = 0;
-    bool have_gsr = false;
-    std::deque<Bytes> tx_queue;
-    bool close_pending = false;
-    Ccid2 cc;
-    std::optional<Ccid3Sender> ccid3_tx;
-    std::optional<Ccid3Receiver> ccid3_rx;
-    sim::Timer pace_timer, feedback_timer, no_feedback_timer;
-    std::optional<Duration> srtt;
-    TimePoint connect_time;
-    Duration rttvar = Duration::zero();
-    Duration rto = Duration::zero();
-    sim::Timer rto_timer, time_wait_timer, handshake_timer;
-    int handshake_retries = 0;
-    TimePoint last_sync_sent;
-    DccpEndpointStats stats;
-  };
-
-  Snapshot capture_state() const;
-  void restore_state(const Snapshot& snap);
+  using Snapshot = DccpEndpointState;
+  Snapshot capture_state() const { return *this; }
+  void restore_state(const Snapshot& snap) { Snapshot::operator=(snap); }
 
   /// Marks the endpoint dead without cancelling timers or firing callbacks;
   /// see TcpEndpoint::snapshot_zombify for the rationale.
@@ -183,37 +197,6 @@ class DccpEndpoint {
   sim::Node& node_;
   DccpEndpointConfig config_;
   DccpCallbacks callbacks_;
-  snake::Rng rng_;
-
-  DccpState state_ = DccpState::kClosed;
-  bool released_ = false;
-
-  Seq48 iss_ = 0;
-  Seq48 gss_ = 0;  ///< greatest sequence sent
-  Seq48 isr_ = 0;
-  Seq48 gsr_ = 0;  ///< greatest valid sequence received
-  bool have_gsr_ = false;
-
-  std::deque<Bytes> tx_queue_;
-  bool close_pending_ = false;
-
-  Ccid2 cc_;
-  std::optional<Ccid3Sender> ccid3_tx_;
-  std::optional<Ccid3Receiver> ccid3_rx_;
-  sim::Timer pace_timer_;
-  sim::Timer feedback_timer_;
-  sim::Timer no_feedback_timer_;
-  std::optional<Duration> srtt_;
-  TimePoint connect_time_;
-  Duration rttvar_ = Duration::zero();
-  Duration rto_;
-  sim::Timer rto_timer_;
-  sim::Timer time_wait_timer_;
-  sim::Timer handshake_timer_;
-  int handshake_retries_ = 0;
-  TimePoint last_sync_sent_ = TimePoint::origin() - Duration::seconds(1.0);
-
-  DccpEndpointStats stats_;
 };
 
 }  // namespace snake::dccp

@@ -18,7 +18,6 @@
 #include "dist/supervisor.h"
 #include "dist/wire.h"
 #include "obs/metrics.h"
-#include "sim/scheduler.h"
 #include "snake/arena.h"
 #include "snake/trial_runner.h"
 
@@ -313,20 +312,6 @@ struct DistributedBackend::Impl {
 
   // ---- message handling --------------------------------------------------
 
-  /// The comparable surface of a record for byzantine verification: every
-  /// outcome-bearing field, with the observation lists excluded. Workers
-  /// legitimately prune already-covered observations from wire results (a
-  /// bandwidth optimization keyed to *their* view of the covered set at send
-  /// time), so obs can differ between an honest worker's frame and the
-  /// coordinator's re-execution; comparing them would quarantine honest
-  /// workers. The controller dedupes covered pairs itself, so obs cannot
-  /// change committed verdicts either way.
-  static std::string verdict_surface(core::TrialRecord record) {
-    record.client_obs.clear();
-    record.server_obs.clear();
-    return render_record(record);
-  }
-
   /// Byzantine verification for one result. Returns the record to commit:
   /// the worker's own when it checks out, the coordinator's re-execution
   /// when the worker lied (in which case the worker is already quarantined).
@@ -339,12 +324,12 @@ struct DistributedBackend::Impl {
       // cross-campaign cache" trigger: either the cache line or the worker
       // is wrong, and re-execution is the tiebreaker.
       const core::TrialRecord* hit = options.verify_cache->lookup(record.key);
-      if (hit != nullptr && verdict_surface(*hit) != verdict_surface(record)) selected = true;
+      if (hit != nullptr && render_record(*hit) != render_record(record)) selected = true;
     }
     if (!selected) return record;
     ++verified;
     core::TrialRecord truth = execute_record(strat);
-    if (verdict_surface(truth) == verdict_surface(record)) return record;
+    if (render_record(truth) == render_record(record)) return record;
     ++divergent;
     quarantine_worker(w, "divergent result for seq " + std::to_string(seq) + " (key " +
                              truth.key + ")");
@@ -555,10 +540,6 @@ bool DistributedBackend::start(const core::CampaignConfig& config,
   wc.collect_metrics = config.collect_metrics;
   wc.use_snapshots = config.use_snapshots;
   wc.early_exit = config.early_exit;
-  // Workers exec fresh, so the coordinator's process-wide engine choice
-  // must travel explicitly or a heap-default coordinator would silently
-  // compare against wheel-engine workers.
-  wc.scheduler_engine = sim::to_string(sim::Scheduler::default_engine());
   wc.search_mode = search::to_string(config.search_mode);
   wc.identity_hash = core::campaign_identity_hash(config);
   wc.heartbeat_interval_ms = im.options.heartbeat_interval_ms;
@@ -690,13 +671,6 @@ core::TrialOutcome DistributedBackend::wait_outcome() {
       }
     }
   }
-}
-
-void DistributedBackend::on_feedback(const std::vector<core::JournalObservation>& pairs) {
-  if (pairs.empty()) return;
-  const std::string frame = encode_feedback(pairs);
-  for (Impl::Worker& w : impl_->workers)
-    if (impl_->worker_alive(w)) w.ch->send_frame(frame);
 }
 
 void DistributedBackend::finish(obs::MetricsRegistry* into) {

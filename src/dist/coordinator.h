@@ -125,7 +125,6 @@ class DistributedBackend : public core::TrialBackend {
   std::size_t capacity() const override;
   void submit(core::TrialTask task) override;
   core::TrialOutcome wait_outcome() override;
-  void on_feedback(const std::vector<core::JournalObservation>& pairs) override;
   void finish(obs::MetricsRegistry* into) override;
 
   // ---- post-campaign accessors (valid after finish()) ----

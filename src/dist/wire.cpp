@@ -198,7 +198,6 @@ const char* to_string(MsgType type) {
     case MsgType::kResult: return "result";
     case MsgType::kSteal: return "steal";
     case MsgType::kStolen: return "stolen";
-    case MsgType::kFeedback: return "feedback";
     case MsgType::kHeartbeat: return "heartbeat";
     case MsgType::kShutdown: return "shutdown";
     case MsgType::kBye: return "bye";
@@ -216,7 +215,6 @@ std::optional<MsgType> type_from_string(const std::string& s) {
   if (s == "result") return MsgType::kResult;
   if (s == "steal") return MsgType::kSteal;
   if (s == "stolen") return MsgType::kStolen;
-  if (s == "feedback") return MsgType::kFeedback;
   if (s == "heartbeat") return MsgType::kHeartbeat;
   if (s == "shutdown") return MsgType::kShutdown;
   if (s == "bye") return MsgType::kBye;
@@ -415,7 +413,6 @@ std::string encode_campaign(const WorkerCampaign& wc) {
   w.key("collect_metrics").value(wc.collect_metrics);
   w.key("use_snapshots").value(wc.use_snapshots);
   w.key("early_exit").value(wc.early_exit);
-  w.key("scheduler_engine").value(wc.scheduler_engine);
   w.key("search_mode").value(wc.search_mode);
   w.key("identity_hash").value(wc.identity_hash);
   w.key("worker_index").value(wc.worker_index);
@@ -488,21 +485,6 @@ std::string encode_stolen(const std::vector<std::uint64_t>& seqs) {
   return finish(w);
 }
 
-std::string encode_feedback(const std::vector<core::JournalObservation>& pairs) {
-  obs::JsonWriter w;
-  begin(w, MsgType::kFeedback);
-  w.key("pairs").begin_array();
-  for (const core::JournalObservation& p : pairs) {
-    w.begin_array();
-    w.value(p.state);
-    w.value(p.packet_type);
-    w.end_array();
-  }
-  w.end_array();
-  w.end_object();
-  return finish(w);
-}
-
 std::string encode_heartbeat(std::uint64_t queued) {
   obs::JsonWriter w;
   begin(w, MsgType::kHeartbeat);
@@ -561,7 +543,6 @@ std::optional<Message> parse_message(std::string_view payload) {
       m.campaign.collect_metrics = bool_field(*doc, "collect_metrics", true);
       m.campaign.use_snapshots = bool_field(*doc, "use_snapshots", true);
       m.campaign.early_exit = bool_field(*doc, "early_exit", true);
-      m.campaign.scheduler_engine = str_field(*doc, "scheduler_engine");
       m.campaign.search_mode = str_field(*doc, "search_mode");
       if (!search::search_mode_from_string(m.campaign.search_mode).has_value())
         m.campaign.search_mode = "grid";
@@ -641,17 +622,6 @@ std::optional<Message> parse_message(std::string_view payload) {
         auto v = u64_of(s);
         if (!v.has_value()) return std::nullopt;
         m.seqs.push_back(*v);
-      }
-      break;
-    }
-    case MsgType::kFeedback: {
-      const obs::JsonValue* pairs = doc->find("pairs");
-      if (pairs == nullptr || !pairs->is_array()) return std::nullopt;
-      for (const obs::JsonValue& p : pairs->array_v) {
-        if (!p.is_array() || p.array_v.size() != 2 || !p.array_v[0].is_string() ||
-            !p.array_v[1].is_string())
-          return std::nullopt;
-        m.pairs.push_back(core::JournalObservation{p.array_v[0].str_v, p.array_v[1].str_v});
       }
       break;
     }

@@ -19,9 +19,6 @@
 //   W->C result     one finished TrialRecord, tagged with its seq
 //   C->W steal      give back up to N not-yet-started trials
 //   W->C stolen     the seqs handed back (reassigned to an idle worker)
-//   C->W feedback   newly covered (state, packet type) pairs, broadcast so
-//                   workers can prune already-known observations from
-//                   result payloads
 //   W->C heartbeat  liveness + queue depth (timeout => worker declared dead)
 //   C->W shutdown   campaign drained; worker answers bye and exits
 //   W->C bye        final metrics-registry snapshot + selfcheck tally
@@ -133,7 +130,6 @@ enum class MsgType {
   kResult,
   kSteal,
   kStolen,
-  kFeedback,
   kHeartbeat,
   kShutdown,
   kBye,
@@ -163,12 +159,6 @@ struct WorkerCampaign {
   /// CampaignConfig::early_exit). Like use_snapshots: changes wall-clock
   /// only, never outcomes, and stays out of the identity hash.
   bool early_exit = true;
-  /// Scheduler engine the worker must adopt ("wheel" / "heap"; "" keeps the
-  /// worker's compiled-in default). Workers are exec'd fresh, so the
-  /// coordinator's process-wide engine choice only reaches them through this
-  /// field. Both engines pop in the same total order, so — like
-  /// use_snapshots — this never enters the identity hash.
-  std::string scheduler_engine;
   /// The coordinator's CampaignConfig::search_mode ("grid" / "greybox"),
   /// mirrored so the worker's reconstructed config is faithful. Strategy
   /// selection happens coordinator-side — workers execute the trials they
@@ -234,9 +224,6 @@ struct Message {
   // stolen
   std::vector<std::uint64_t> seqs;
 
-  // feedback
-  std::vector<core::JournalObservation> pairs;
-
   // heartbeat
   std::uint64_t queued = 0;
 
@@ -258,7 +245,6 @@ std::string encode_trials(const std::vector<WireTrial>& trials);
 std::string encode_result(std::uint64_t seq, const core::TrialRecord& record);
 std::string encode_steal(std::uint64_t count);
 std::string encode_stolen(const std::vector<std::uint64_t>& seqs);
-std::string encode_feedback(const std::vector<core::JournalObservation>& pairs);
 std::string encode_heartbeat(std::uint64_t queued);
 std::string encode_shutdown();
 std::string encode_bye(const std::string& metrics_json, std::uint64_t violations);

@@ -8,7 +8,6 @@
 #include <cstring>
 #include <deque>
 #include <mutex>
-#include <set>
 #include <string>
 #include <thread>
 #include <utility>
@@ -16,7 +15,6 @@
 
 #include "dist/wire.h"
 #include "obs/metrics.h"
-#include "sim/scheduler.h"
 #include "snake/arena.h"
 #include "snake/snapshot.h"
 #include "snake/trial_runner.h"
@@ -46,13 +44,6 @@ class LockedSender {
   std::mutex mutex_;
 };
 
-void prune_observations(std::vector<core::JournalObservation>& obs,
-                        const std::set<std::pair<std::string, std::string>>& covered) {
-  std::erase_if(obs, [&](const core::JournalObservation& o) {
-    return covered.count({o.state, o.packet_type}) > 0;
-  });
-}
-
 }  // namespace
 
 int run_worker(int fd, const WorkerHooks& hooks) {
@@ -67,14 +58,6 @@ int run_worker(int fd, const WorkerHooks& hooks) {
   auto campaign_msg = parse_message(*campaign_frame);
   if (!campaign_msg.has_value() || campaign_msg->type != MsgType::kCampaign) return 1;
   const WorkerCampaign wc = std::move(campaign_msg->campaign);
-
-  // Adopt the coordinator's scheduler engine before any world is built. This
-  // process is exec'd fresh and single-campaign, so flipping the process-wide
-  // default here is safe and reaches every arena/session created below.
-  if (wc.scheduler_engine == "heap")
-    sim::Scheduler::set_default_engine(sim::SchedulerEngine::kBinaryHeap);
-  else if (wc.scheduler_engine == "wheel")
-    sim::Scheduler::set_default_engine(sim::SchedulerEngine::kTimerWheel);
 
   obs::MetricsRegistry registry;
   obs::MetricsRegistry* reg = wc.collect_metrics ? &registry : nullptr;
@@ -133,7 +116,6 @@ int run_worker(int fd, const WorkerHooks& hooks) {
   // coordinator's dispatch-starvation signature (assigned work, empty queue,
   // no progress) and get a healthy worker killed.
   std::atomic<std::uint64_t> in_flight{0};
-  std::set<std::pair<std::string, std::string>> covered;
   std::uint64_t results_sent = 0;
   bool shutdown = false;
   int exit_code = 0;
@@ -184,10 +166,6 @@ int run_worker(int fd, const WorkerHooks& hooks) {
         sender.send(encode_stolen(handed));
         break;
       }
-      case MsgType::kFeedback:
-        for (core::JournalObservation& p : m.pairs)
-          covered.insert({std::move(p.state), std::move(p.packet_type)});
-        break;
       case MsgType::kShutdown:
         shutdown = true;
         break;
@@ -198,7 +176,7 @@ int run_worker(int fd, const WorkerHooks& hooks) {
 
   while (!shutdown) {
     // Drain everything the coordinator has sent, then run at most one trial
-    // before looking again — steals and feedback stay responsive even while
+    // before looking again — steals stay responsive even while
     // a shard is queued. pop_frame() only parses buffered bytes, so pump
     // first: anything that arrived while the last trial ran (a steal
     // request, typically) must be seen *before* committing to the next
@@ -248,8 +226,6 @@ int run_worker(int fd, const WorkerHooks& hooks) {
     }
 
     core::TrialRecord record = core::execute_trial(arena, ctx, trial.strat, reg);
-    prune_observations(record.client_obs, covered);
-    prune_observations(record.server_obs, covered);
     if (wc.corrupt_after_results != 0 && results_sent + 1 >= wc.corrupt_after_results) {
       // Test-only byzantine fault: lie about the verdict, and let
       // encode_result stamp a valid checksum over the lie —

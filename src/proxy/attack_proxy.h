@@ -22,6 +22,7 @@
 #include <memory>
 #include <optional>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "packet/codec.h"
@@ -66,7 +67,26 @@ struct ProxyStats {
   std::uint64_t injected = 0;
 };
 
-class AttackProxy : public sim::PacketFilter {
+/// The proxy's mutable state, declared once: the proxy inherits it
+/// privately, and a snapshot is a copy of it (see tcp::TcpEndpointState for
+/// the pattern). Installed strategies and held batches are not part of it:
+/// snapshots are only taken on an unarmed proxy.
+struct AttackProxyState {
+  AttackProxyState(snake::Rng rng, statemachine::ConnectionTracker tracker)
+      : rng_(rng), tracker_(std::move(tracker)) {}
+
+  snake::Rng rng_;
+  statemachine::ConnectionTracker tracker_;
+  /// Target-connection client port, learned from the first observed packet.
+  std::optional<std::uint16_t> learned_client_port_;
+  /// Per-direction ordinals of target-protocol packets, for the
+  /// send-packet-based baseline matching mode.
+  std::uint64_t egress_ordinal_ = 0;
+  std::uint64_t ingress_ordinal_ = 0;
+  ProxyStats stats_;
+};
+
+class AttackProxy : public sim::PacketFilter, private AttackProxyState {
  public:
   AttackProxy(sim::Node& attach_node, const packet::Codec& codec,
               const statemachine::StateMachine& machine, ProxyTargets targets, snake::Rng rng);
@@ -95,20 +115,12 @@ class AttackProxy : public sim::PacketFilter {
   const statemachine::ConnectionTracker& tracker() const { return tracker_; }
   statemachine::ConnectionTracker& tracker() { return tracker_; }
 
-  /// Mutable proxy state frozen between two scheduler events. Captured on an
-  /// *unarmed* proxy (no strategies installed, no batch pending); restore
-  /// rewinds to that point and detaches any strategy/batch machinery left
-  /// over from the previous forked run without cancelling — the timer handles
-  /// it holds refer to the pre-restore slot table.
-  struct Snapshot {
-    std::optional<statemachine::ConnectionTracker> tracker;
-    snake::Rng rng{0};
-    std::optional<std::uint16_t> learned_client_port;
-    std::uint64_t egress_ordinal = 0;
-    std::uint64_t ingress_ordinal = 0;
-    ProxyStats stats;
-  };
-  Snapshot capture() const;
+  /// Restore rewinds to a capture taken on an *unarmed* proxy (no
+  /// strategies installed, no batch pending) and detaches any strategy/batch
+  /// machinery left over from the previous forked run without cancelling —
+  /// the timer handles it holds refer to the pre-restore slot table.
+  using Snapshot = AttackProxyState;
+  Snapshot capture() const { return *this; }
   void restore(const Snapshot& snap);
 
   /// Dumps per-basic-attack action counts ("proxy.*") and state-tracker
@@ -153,12 +165,7 @@ class AttackProxy : public sim::PacketFilter {
   /// learn/reflect paths; nullptr when the format has no such field.
   const packet::CompiledField* src_port_field_ = nullptr;
   const packet::CompiledField* dst_port_field_ = nullptr;
-  snake::Rng rng_;
-  statemachine::ConnectionTracker tracker_;
   std::vector<std::unique_ptr<Armed>> strategies_;
-
-  /// Target-connection client port, learned from the first observed packet.
-  std::optional<std::uint16_t> learned_client_port_;
 
   struct Held {
     sim::Packet packet;
@@ -166,12 +173,6 @@ class AttackProxy : public sim::PacketFilter {
   };
   std::vector<Held> batch_;
   sim::Timer batch_timer_;
-
-  /// Per-direction ordinals of target-protocol packets, for the
-  /// send-packet-based baseline matching mode.
-  std::uint64_t egress_ordinal_ = 0;
-  std::uint64_t ingress_ordinal_ = 0;
-  ProxyStats stats_;
 };
 
 }  // namespace snake::proxy

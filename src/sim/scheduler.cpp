@@ -1,38 +1,12 @@
 #include "sim/scheduler.h"
 
 #include <algorithm>
-#include <atomic>
 #include <bit>
 #include <utility>
 
 #include "obs/metrics.h"
 
 namespace snake::sim {
-
-namespace {
-
-// Ascending (at, seq) — the execution order both engines must realize.
-bool entry_less(const Scheduler::HeapEntry& a, const Scheduler::HeapEntry& b) {
-  return b > a;
-}
-
-std::atomic<SchedulerEngine> g_default_engine{
-#if defined(SNAKE_SCHEDULER_HEAP_DEFAULT) && SNAKE_SCHEDULER_HEAP_DEFAULT
-    SchedulerEngine::kBinaryHeap
-#else
-    SchedulerEngine::kTimerWheel
-#endif
-};
-
-}  // namespace
-
-const char* to_string(SchedulerEngine engine) {
-  switch (engine) {
-    case SchedulerEngine::kTimerWheel: return "wheel";
-    case SchedulerEngine::kBinaryHeap: return "heap";
-  }
-  return "?";
-}
 
 const char* to_string(WatchdogTrip trip) {
   switch (trip) {
@@ -43,52 +17,24 @@ const char* to_string(WatchdogTrip trip) {
   return "?";
 }
 
-SchedulerEngine Scheduler::default_engine() {
-  return g_default_engine.load(std::memory_order_relaxed);
-}
-
-void Scheduler::set_default_engine(SchedulerEngine engine) {
-  g_default_engine.store(engine, std::memory_order_relaxed);
-}
-
-bool Scheduler::set_engine(SchedulerEngine engine) {
-  if (queued_ != 0) return false;
-  queue_clear();  // drop drained-ready residue / stale cursor
-  engine_ = engine;
-  return true;
-}
-
 // --- Ready queue -----------------------------------------------------------
 
-void Scheduler::queue_push(const HeapEntry& entry) {
+void Scheduler::queue_push(const QueueEntry& entry) {
   ++queued_;
-  if (engine_ == SchedulerEngine::kBinaryHeap) {
-    heap_.push_back(entry);
-    std::push_heap(heap_.begin(), heap_.end(), std::greater<HeapEntry>());
-  } else {
-    wheel_insert(entry);
-  }
+  wheel_insert(entry);
 }
 
-const Scheduler::HeapEntry* Scheduler::queue_front() {
-  if (engine_ == SchedulerEngine::kBinaryHeap)
-    return heap_.empty() ? nullptr : heap_.data();
+const Scheduler::QueueEntry* Scheduler::queue_front() {
   if (ready_pos_ >= ready_.size() && !wheel_refill()) return nullptr;
   return &ready_[ready_pos_];
 }
 
 void Scheduler::queue_pop_front() {
   --queued_;
-  if (engine_ == SchedulerEngine::kBinaryHeap) {
-    std::pop_heap(heap_.begin(), heap_.end(), std::greater<HeapEntry>());
-    heap_.pop_back();
-  } else {
-    ++ready_pos_;  // queue_front() established ready_[ready_pos_]
-  }
+  ++ready_pos_;  // queue_front() established ready_[ready_pos_]
 }
 
 void Scheduler::queue_clear() {
-  heap_.clear();
   ready_.clear();
   ready_pos_ = 0;
   far_.clear();
@@ -109,10 +55,6 @@ void Scheduler::queue_clear() {
 
 template <typename Fn>
 void Scheduler::for_each_queued(Fn&& fn) const {
-  if (engine_ == SchedulerEngine::kBinaryHeap) {
-    for (const HeapEntry& e : heap_) fn(e);
-    return;
-  }
   for (std::size_t i = ready_pos_; i < ready_.size(); ++i) fn(ready_[i]);
   for (int level = 0; level < kWheelLevels; ++level) {
     for (std::size_t word = 0; word < kWheelSlots / 64; ++word) {
@@ -120,15 +62,15 @@ void Scheduler::for_each_queued(Fn&& fn) const {
       while (bits != 0) {
         int bit = std::countr_zero(bits);
         bits &= bits - 1;
-        for (const HeapEntry& e : buckets_[level][(word << 6) + static_cast<std::size_t>(bit)])
+        for (const QueueEntry& e : buckets_[level][(word << 6) + static_cast<std::size_t>(bit)])
           fn(e);
       }
     }
   }
-  for (const HeapEntry& e : far_) fn(e);
+  for (const QueueEntry& e : far_) fn(e);
 }
 
-void Scheduler::wheel_insert(const HeapEntry& entry) {
+void Scheduler::wheel_insert(const QueueEntry& entry) {
   std::uint64_t t = tick_of(entry.at);
   if (t <= cur_tick_) {
     ready_insert(entry);
@@ -149,13 +91,13 @@ void Scheduler::wheel_insert(const HeapEntry& entry) {
   occupancy_[level][idx >> 6] |= 1ULL << (idx & 63);
 }
 
-void Scheduler::ready_insert(const HeapEntry& entry) {
+void Scheduler::ready_insert(const QueueEntry& entry) {
   // Sorted insert into the undrained tail. The tail only holds the rest of
   // the current L0 span (a couple hundred microseconds of events), so the
   // upper_bound plus memmove touch a handful of 24-byte records; a callback
   // scheduling at the far end of the span still appends in O(1).
   auto it = std::upper_bound(ready_.begin() + static_cast<std::ptrdiff_t>(ready_pos_),
-                             ready_.end(), entry, entry_less);
+                             ready_.end(), entry);
   ready_.insert(it, entry);
 }
 
@@ -172,7 +114,7 @@ bool Scheduler::wheel_refill() {
     // tick-at-a-time refill pays a full scan per pop.
     int idx = scan_occupancy(0, (cur_tick_ & (kWheelSlots - 1)) + 1);
     while (idx >= 0) {
-      std::vector<HeapEntry>& bucket = buckets_[0][static_cast<std::size_t>(idx)];
+      std::vector<QueueEntry>& bucket = buckets_[0][static_cast<std::size_t>(idx)];
       occupancy_[0][idx >> 6] &= ~(1ULL << (idx & 63));
       ready_.insert(ready_.end(), bucket.begin(), bucket.end());
       bucket.clear();
@@ -183,7 +125,7 @@ bool Scheduler::wheel_refill() {
     // insert) instead of behind the cursor where they would be missed.
     cur_tick_ |= kWheelSlots - 1;
     if (!ready_.empty()) {
-      std::sort(ready_.begin(), ready_.end(), entry_less);
+      std::sort(ready_.begin(), ready_.end());
       return true;
     }
     bool advanced = false;
@@ -216,7 +158,7 @@ void Scheduler::wheel_cascade(int level, std::size_t idx) {
   std::uint64_t above_mask = ~((1ULL << (8 * (level + 1))) - 1);
   cur_tick_ = (cur_tick_ & above_mask) |
               (static_cast<std::uint64_t>(idx) << (8 * level));
-  for (const HeapEntry& e : cascade_scratch_) wheel_insert(e);
+  for (const QueueEntry& e : cascade_scratch_) wheel_insert(e);
   cascade_scratch_.clear();
 }
 
@@ -224,11 +166,11 @@ void Scheduler::wheel_reanchor_to_far() {
   // Only reached with every wheel level empty, so re-anchoring the cursor to
   // the earliest far entry cannot strand anything behind it.
   std::uint64_t min_tick = tick_of(far_.front().at);
-  for (const HeapEntry& e : far_) min_tick = std::min(min_tick, tick_of(e.at));
+  for (const QueueEntry& e : far_) min_tick = std::min(min_tick, tick_of(e.at));
   cur_tick_ = min_tick;
   cascade_scratch_.clear();
   cascade_scratch_.swap(far_);
-  for (const HeapEntry& e : cascade_scratch_) wheel_insert(e);
+  for (const QueueEntry& e : cascade_scratch_) wheel_insert(e);
   cascade_scratch_.clear();
 }
 
@@ -256,7 +198,7 @@ Timer Scheduler::do_schedule(TimePoint at, SmallFunction fn, EventClass cls) {
   event.armed = true;
   event.lazy = cls == EventClass::kLazy;
   if (!event.lazy && at <= horizon_) ++active_in_horizon_;
-  queue_push(HeapEntry{at, next_seq_++, slot});
+  queue_push(QueueEntry{at, next_seq_++, slot});
   return Timer(this, slot, event.generation);
 }
 
@@ -296,7 +238,7 @@ void Scheduler::arm_watchdog(const WatchdogConfig& config) {
 void Scheduler::set_quiescence_horizon(TimePoint horizon) {
   horizon_ = horizon;
   std::uint64_t count = 0;
-  for_each_queued([&](const HeapEntry& e) {
+  for_each_queued([&](const QueueEntry& e) {
     const EventSlot& slot = slots_[e.slot];
     if (slot.armed && !slot.lazy && e.at <= horizon_) ++count;
   });
@@ -305,7 +247,7 @@ void Scheduler::set_quiescence_horizon(TimePoint horizon) {
 
 // --- Execution -------------------------------------------------------------
 
-void Scheduler::fire_or_discard(const HeapEntry& entry) {
+void Scheduler::fire_or_discard(const QueueEntry& entry) {
   now_ = entry.at;
   EventSlot& event = slots_[entry.slot];
   if (event.armed) {
@@ -327,7 +269,7 @@ void Scheduler::fire_or_discard(const HeapEntry& entry) {
 template <bool Quiescent>
 bool Scheduler::run_until_impl(TimePoint until) {
   bool cut = false;
-  const HeapEntry* front = nullptr;
+  const QueueEntry* front = nullptr;
   while ((front = queue_front()) != nullptr) {
     // Watchdog gate: a tripped run stays stopped (so nested run_until calls
     // from callbacks unwind too) until re-armed or reset.
@@ -352,7 +294,7 @@ bool Scheduler::run_until_impl(TimePoint until) {
       }
     }
     if (front->at > until) break;
-    HeapEntry entry = *front;
+    QueueEntry entry = *front;
     queue_pop_front();
     fire_or_discard(entry);
   }
@@ -375,7 +317,7 @@ std::uint64_t Scheduler::run_events(std::uint64_t count) {
   // instead of a time horizon: the snapshot layer replays a verified prefix
   // of a deterministic run and must stop on an exact event boundary.
   std::uint64_t popped = 0;
-  const HeapEntry* front = nullptr;
+  const QueueEntry* front = nullptr;
   while (popped < count && (front = queue_front()) != nullptr) {
     if (watchdog_trip_ != WatchdogTrip::kNone) break;
     if (watchdog_event_limit_ != 0 && executed_ + cancelled_ >= watchdog_event_limit_) {
@@ -391,7 +333,7 @@ std::uint64_t Scheduler::run_events(std::uint64_t count) {
         break;
       }
     }
-    HeapEntry entry = *front;
+    QueueEntry entry = *front;
     queue_pop_front();
     fire_or_discard(entry);
     ++popped;
@@ -417,10 +359,10 @@ bool Scheduler::capture(Snapshot& out) const {
     if (slot.armed) copy.fn = slot.fn.clone();
     out.slots.push_back(std::move(copy));
   }
-  out.heap.clear();
-  out.heap.reserve(queued_);
-  for_each_queued([&](const HeapEntry& e) { out.heap.push_back(e); });
-  std::sort(out.heap.begin(), out.heap.end(), entry_less);  // canonical encoding
+  out.pending.clear();
+  out.pending.reserve(queued_);
+  for_each_queued([&](const QueueEntry& e) { out.pending.push_back(e); });
+  std::sort(out.pending.begin(), out.pending.end());
   out.free_slots = free_;
   out.now = now_;
   out.quiescence_horizon = horizon_;
@@ -454,14 +396,9 @@ void Scheduler::restore(const Snapshot& snap) {
     into.lazy = from.lazy;
   }
   queue_clear();
-  if (engine_ == SchedulerEngine::kBinaryHeap) {
-    heap_ = snap.heap;  // sorted ascending is a valid min-heap as-is
-    queued_ = heap_.size();
-  } else {
-    cur_tick_ = tick_of(snap.now);
-    for (const HeapEntry& e : snap.heap) queue_push(e);  // ascending: appends O(1)
-  }
-  for (const HeapEntry& e : snap.heap) slots_[e.slot].at = e.at;
+  cur_tick_ = tick_of(snap.now);
+  for (const QueueEntry& e : snap.pending) queue_push(e);  // ascending: appends O(1)
+  for (const QueueEntry& e : snap.pending) slots_[e.slot].at = e.at;
   free_ = snap.free_slots;
   now_ = snap.now;
   next_seq_ = snap.next_seq;
@@ -469,7 +406,7 @@ void Scheduler::restore(const Snapshot& snap) {
   cancelled_ = snap.cancelled;
   horizon_ = snap.quiescence_horizon;
   std::uint64_t active = 0;
-  for (const HeapEntry& e : snap.heap) {
+  for (const QueueEntry& e : snap.pending) {
     const EventSlot& slot = slots_[e.slot];
     if (slot.armed && !slot.lazy && e.at <= horizon_) ++active;
   }

@@ -10,11 +10,11 @@
 // free list, callbacks are stored in place (util::SmallFunction), and the
 // ready queue is a hierarchical timing wheel of plain {time, seq, slot}
 // records — the common schedule/fire/cancel cycle allocates nothing once
-// the slab and wheel buckets are warm, and costs O(1) instead of the
-// previous binary heap's O(log n). The heap remains as a runtime-selectable
-// reference engine (SchedulerEngine::kBinaryHeap) that the property suite
-// replays against the wheel: both engines execute every script in the exact
-// same order (see DESIGN.md, "Event engine"). The scheduler also owns the
+// the slab and wheel buckets are warm, and costs O(1) instead of a binary
+// heap's O(log n). The wheel is the only engine; scheduler_engine_test
+// replays random scripts against a small binary-heap reference model kept
+// in the test, and both must execute every script in the exact same order
+// (see DESIGN.md, "Event engine"). The scheduler also owns the
 // scenario's packet BufferPool so every component on the data path (links,
 // nodes, transport stacks) can recycle wire buffers without a second
 // ownership channel. reset() rewinds the scheduler to its initial state
@@ -39,15 +39,6 @@ class MetricsRegistry;
 namespace snake::sim {
 
 class Scheduler;
-
-/// Which ready-queue implementation a Scheduler uses. kTimerWheel is the
-/// production engine; kBinaryHeap is the O(log n) reference implementation
-/// kept for differential testing (the wheel must execute every event script
-/// in the heap's exact order). The engine never changes observable event
-/// order — it is a pure performance/verification switch.
-enum class SchedulerEngine : std::uint8_t { kTimerWheel, kBinaryHeap };
-
-const char* to_string(SchedulerEngine engine);
 
 /// How an event relates to a trial's observable outcome. kActive (the
 /// default) marks events that can emit packets or otherwise change what a
@@ -105,21 +96,7 @@ class Timer {
 
 class Scheduler {
  public:
-  Scheduler() : engine_(default_engine()) {}
-
   TimePoint now() const { return now_; }
-
-  /// The process-wide engine new Schedulers start with. Defaults to the
-  /// timer wheel (or the heap when built with SNAKE_SCHEDULER_HEAP_DEFAULT);
-  /// tests and benches flip it to run identical workloads on both engines.
-  static SchedulerEngine default_engine();
-  static void set_default_engine(SchedulerEngine engine);
-
-  SchedulerEngine engine() const { return engine_; }
-  /// Switches the ready-queue engine. Only legal while the queue is empty
-  /// (reset() or never used); returns false and leaves the engine unchanged
-  /// otherwise.
-  bool set_engine(SchedulerEngine engine);
 
   /// Schedules `fn` at absolute time `at` (clamped to now if in the past).
   template <typename F>
@@ -215,13 +192,14 @@ class Scheduler {
 
   /// Queue record: 24 bytes, trivially copyable, no ownership. Public only
   /// so Snapshot can embed the pending-event set.
-  struct HeapEntry {
+  struct QueueEntry {
     TimePoint at;
     std::uint64_t seq;
     std::uint32_t slot;
-    bool operator>(const HeapEntry& o) const {
-      if (at != o.at) return at > o.at;
-      return seq > o.seq;
+    /// Execution order: ascending (at, seq).
+    bool operator<(const QueueEntry& o) const {
+      if (at != o.at) return at < o.at;
+      return seq < o.seq;
     }
   };
 
@@ -232,11 +210,8 @@ class Scheduler {
   /// re-cloned on every restore, so one Snapshot can seed many forked runs.
   /// Move-only (SmallFunction is move-only).
   ///
-  /// The pending-event set (`heap`) is stored sorted by (at, seq) — the
-  /// canonical engine-independent encoding. A sorted ascending array is a
-  /// valid min-heap, so the heap engine adopts it verbatim, and the wheel
-  /// engine re-places each entry; a snapshot captured under either engine
-  /// restores under either engine with identical event order.
+  /// The pending-event set (`pending`) is stored sorted by (at, seq), so a
+  /// restore re-places each entry on the wheel with O(1) appends.
   struct Snapshot {
     struct Slot {
       SmallFunction fn;  ///< clone of the armed callback; empty when !armed
@@ -246,7 +221,7 @@ class Scheduler {
       bool lazy = false;
     };
     std::vector<Slot> slots;
-    std::vector<HeapEntry> heap;  ///< pending entries, sorted by (at, seq)
+    std::vector<QueueEntry> pending;  ///< pending entries, sorted by (at, seq)
     std::vector<std::uint32_t> free_slots;
     TimePoint now = TimePoint::origin();
     TimePoint quiescence_horizon = TimePoint::max();
@@ -314,7 +289,7 @@ class Scheduler {
     if (!event.lazy && event.at <= horizon_) --active_in_horizon_;
   }
 
-  // --- Ready queue (both engines) ------------------------------------------
+  // --- Ready queue -----------------------------------------------------------
   // The wheel places an entry by the highest byte in which its tick differs
   // from cur_tick_ (the wheel cursor): level = that byte's index, bucket =
   // the entry's tick byte at that level. Because the entry's higher bytes
@@ -334,39 +309,36 @@ class Scheduler {
     return static_cast<std::uint64_t>(at.ns()) >> kTickShift;
   }
 
-  void queue_push(const HeapEntry& entry);
+  void queue_push(const QueueEntry& entry);
   /// The earliest pending entry, or nullptr when the queue is empty. Wheel:
   /// refills ready_ from the buckets as needed (amortized O(1)).
-  const HeapEntry* queue_front();
+  const QueueEntry* queue_front();
   void queue_pop_front();
   void queue_clear();
   /// Visits every pending entry in unspecified order.
   template <typename Fn>
   void for_each_queued(Fn&& fn) const;
 
-  void wheel_insert(const HeapEntry& entry);
-  void ready_insert(const HeapEntry& entry);
+  void wheel_insert(const QueueEntry& entry);
+  void ready_insert(const QueueEntry& entry);
   bool wheel_refill();
   void wheel_cascade(int level, std::size_t idx);
   void wheel_reanchor_to_far();
   int scan_occupancy(int level, std::size_t from) const;
 
-  void fire_or_discard(const HeapEntry& entry);
+  void fire_or_discard(const QueueEntry& entry);
   template <bool Quiescent>
   bool run_until_impl(TimePoint until);
 
-  SchedulerEngine engine_;
-  std::uint64_t queued_ = 0;  ///< entries pending across ready/buckets/far/heap
+  std::uint64_t queued_ = 0;  ///< entries pending across ready/buckets/far
 
-  std::vector<HeapEntry> heap_;  ///< kBinaryHeap engine: min-heap via std::push_heap
-
-  std::vector<HeapEntry> ready_;  ///< due entries, sorted by (at, seq)
+  std::vector<QueueEntry> ready_;  ///< due entries, sorted by (at, seq)
   std::size_t ready_pos_ = 0;     ///< drain cursor into ready_
   std::uint64_t cur_tick_ = 0;    ///< wheel cursor (tick units)
-  std::array<std::array<std::vector<HeapEntry>, kWheelSlots>, kWheelLevels> buckets_;
+  std::array<std::array<std::vector<QueueEntry>, kWheelSlots>, kWheelLevels> buckets_;
   std::uint64_t occupancy_[kWheelLevels][kWheelSlots / 64] = {};
-  std::vector<HeapEntry> far_;  ///< beyond wheel coverage; re-placed on drain
-  std::vector<HeapEntry> cascade_scratch_;  ///< reused by cascade/re-anchor
+  std::vector<QueueEntry> far_;  ///< beyond wheel coverage; re-placed on drain
+  std::vector<QueueEntry> cascade_scratch_;  ///< reused by cascade/re-anchor
 
   std::vector<EventSlot> slots_;
   std::vector<std::uint32_t> free_;

@@ -69,10 +69,9 @@ class TrialBackend {
   /// Must only be called while trials are in flight.
   virtual TrialOutcome wait_outcome() = 0;
 
-  /// Newly covered (state, packet type) send-pairs, committed by the
-  /// coordinator. Distributed backends broadcast these to workers so result
-  /// payloads shrink as the search-space reduction converges; the default
-  /// backend needs no such hint.
+  /// Never called: every backend returns full observation lists, so fleet
+  /// records equal in-process ones. Kept as a no-op only because
+  /// campaign_bench/harness.cpp overrides it; delete both together.
   virtual void on_feedback(const std::vector<JournalObservation>& pairs) { (void)pairs; }
 
   /// Tears the backend down and folds its executors' metric registries into

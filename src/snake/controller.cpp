@@ -282,8 +282,8 @@ CampaignResult run_campaign(const CampaignConfig& config) {
   std::map<std::uint64_t, strategy::Strategy> in_flight;  // submitted to the backend
   std::uint64_t dispatched = 0;
   std::uint64_t committed = 0;
-  // Send-pairs already fed back, so the backend broadcast carries each
-  // newly covered pair once.
+  // Send-pairs already credited to a trial, so the greybox fitness counts
+  // each newly covered pair once.
   std::set<std::pair<std::string, std::string>> covered_pairs;
 
   auto dispatch_one = [&]() {
@@ -332,13 +332,6 @@ CampaignResult run_campaign(const CampaignConfig& config) {
       // (type, state) targets.
       enqueue(generator.on_observations(feedback_observations(record.client_obs),
                                         feedback_observations(record.server_obs)));
-      std::vector<JournalObservation> fresh;
-      for (const std::vector<JournalObservation>* o :
-           {&record.client_obs, &record.server_obs})
-        for (const JournalObservation& pair : *o)
-          if (covered_pairs.emplace(pair.state, pair.packet_type).second)
-            fresh.push_back(pair);
-      if (!fresh.empty()) backend->on_feedback(fresh);
       if (engine != nullptr) {
         // Greybox fitness feedback. Every ingredient is derived from the
         // committed record and the monotone covered-pair set, so a trial
@@ -349,9 +342,11 @@ CampaignResult run_campaign(const CampaignConfig& config) {
         feedback.completed = true;
         feedback.found = record.found;
         feedback.margin = record.found ? impact_score(record.detection) : 0.0;
-        feedback.fresh_pairs.reserve(fresh.size());
-        for (const JournalObservation& pair : fresh)
-          feedback.fresh_pairs.emplace_back(pair.state, pair.packet_type);
+        for (const std::vector<JournalObservation>* o :
+             {&record.client_obs, &record.server_obs})
+          for (const JournalObservation& pair : *o)
+            if (covered_pairs.emplace(pair.state, pair.packet_type).second)
+              feedback.fresh_pairs.emplace_back(pair.state, pair.packet_type);
         engine->on_result(p.strat, feedback);
       }
       if (record.found) {

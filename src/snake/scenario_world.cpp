@@ -234,7 +234,7 @@ void TcpWorld::restore(const Snapshot& snap) {
   rig.client2->restore(snap.client2);
   rig.server1->restore(snap.server1);
   rig.server2->restore(snap.server2);
-  proxy->restore(snap.proxy);
+  proxy->restore(*snap.proxy);
   if (trace_server.has_value()) {
     trace_server->restore(snap.trace_server);
     trace_client->restore(snap.trace_client);
@@ -338,7 +338,7 @@ void DccpWorld::restore(const Snapshot& snap) {
   rig.client2->restore(snap.client2);
   rig.server1->restore(snap.server1);
   rig.server2->restore(snap.server2);
-  proxy->restore(snap.proxy);
+  proxy->restore(*snap.proxy);
   sink1->restore(snap.sink1);
   sink2->restore(snap.sink2);
   src1->restore(snap.src1);

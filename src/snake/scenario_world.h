@@ -75,7 +75,7 @@ struct TcpWorld {
     std::vector<sim::Link::Snapshot> links;
     std::vector<std::uint64_t> node_packet_ids;
     tcp::TcpStack::Snapshot client1, client2, server1, server2;
-    proxy::AttackProxy::Snapshot proxy;
+    std::optional<proxy::AttackProxy::Snapshot> proxy;  ///< optional: the tracker has no default constructor
     apps::BulkHttpServer::Snapshot http1, http2;
     apps::BulkHttpClient::Snapshot wget1, wget2;
     apps::TraceReplayServer::Snapshot trace_server;
@@ -121,7 +121,7 @@ struct DccpWorld {
     std::vector<sim::Link::Snapshot> links;
     std::vector<std::uint64_t> node_packet_ids;
     dccp::DccpStack::Snapshot client1, client2, server1, server2;
-    proxy::AttackProxy::Snapshot proxy;
+    std::optional<proxy::AttackProxy::Snapshot> proxy;  ///< optional: the tracker has no default constructor
     apps::DccpIperfSink::Snapshot sink1, sink2;
     apps::DccpIperfSource::Snapshot src1, src2;
   };

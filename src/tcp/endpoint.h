@@ -83,7 +83,85 @@ struct TcpEndpointConfig {
   Duration initial_rto = Duration::seconds(1.0);
 };
 
-class TcpEndpoint {
+/// Every mutable per-connection member of a TcpEndpoint, declared once. The
+/// endpoint inherits it privately, so member names and function bodies stay
+/// as they are, and the snapshot layer copies the whole struct: capture is
+/// one copy, restore one assignment. A stateful field added here is captured
+/// and restored with no further code. Identity members (node, profile,
+/// config, callbacks, release hook) stay in TcpEndpoint itself: they are
+/// session-stable, and a restore writes into the same endpoint object whose
+/// callbacks were wired at creation. Timer handles are copied verbatim; they
+/// stay valid because the scheduler snapshot preserves slot indices and
+/// generations.
+struct TcpEndpointState {
+  TcpEndpointState(snake::Rng rng, CongestionControl cc, Duration rto)
+      : rng_(rng), cc_(cc), rto_(rto) {}
+
+  snake::Rng rng_;
+  TcpState state_ = TcpState::kClosed;
+  bool released_ = false;
+
+  // Send sequence space.
+  Seq iss_ = 0;
+  Seq snd_una_ = 0;
+  Seq snd_nxt_ = 0;
+  Seq snd_max_ = 0;  ///< highest sequence ever sent (survives RTO rewind)
+  std::uint32_t snd_wnd_ = 0;
+  std::deque<std::uint8_t> send_buf_;  ///< bytes [snd_una_, snd_una_+size)
+  // Stream-offset bookkeeping for PSH: real stacks set PSH on the final
+  // segment of each application write, so bulk data carries PSH "only
+  // occasionally". Offsets are cumulative byte counts since connect.
+  std::uint64_t queued_total_ = 0;
+  std::uint64_t acked_total_ = 0;
+  std::deque<std::uint64_t> push_points_;
+  bool fin_pending_ = false;
+  bool fin_sent_ = false;
+  Seq fin_seq_ = 0;
+  bool app_exited_ = false;
+
+  // Receive sequence space.
+  Seq irs_ = 0;
+  Seq rcv_nxt_ = 0;
+  std::map<Seq, Bytes, SeqCircularLess> out_of_order_;  ///< wrap-safe ordering
+  std::size_t out_of_order_bytes_ = 0;
+  bool remote_fin_seen_ = false;
+
+  // SACK (RFC 2018/2883). Negotiated on the handshake; the sender scoreboard
+  // holds disjoint SACKed ranges strictly above snd_una_, coalesced and
+  // pruned as the cumulative ACK advances, cleared on RTO (reneging safety).
+  bool sack_enabled_ = false;
+  std::map<Seq, Seq, SeqCircularLess> sacked_;  ///< start -> end, wrap-safe order
+  Seq sack_retx_next_ = 0;  ///< next hole candidate in the current recovery
+  std::optional<Seq> last_ooo_start_;  ///< most recent out-of-order arrival
+
+  // Congestion control & recovery.
+  CongestionControl cc_;
+  Seq recover_ = 0;
+  Seq last_retx_end_ = 0;  ///< end of the most recent loss-recovery retransmit
+
+  // RTT estimation (RFC 6298).
+  std::optional<Duration> srtt_;
+  Duration rttvar_ = Duration::zero();
+  Duration rto_;
+  std::optional<Seq> timed_seq_;
+  TimePoint timed_at_;
+
+  // Timers.
+  sim::Timer retransmit_timer_;
+  /// Lazy RTO restart: every ACK restarts the retransmit clock, but a
+  /// cancel + reschedule per ACK is the largest single source of scheduler
+  /// traffic in a bulk transfer. The physical event stays at `rtx_fire_at_`
+  /// and `rtx_deadline_` records where the clock logically is; a fire before
+  /// the deadline re-sleeps instead of timing out.
+  TimePoint rtx_deadline_;
+  TimePoint rtx_fire_at_;
+  sim::Timer time_wait_timer_;
+  int retries_ = 0;
+
+  TcpEndpointStats stats_;
+};
+
+class TcpEndpoint : private TcpEndpointState {
  public:
   /// `on_released` lets the owning stack learn when the socket leaves the
   /// "netstat" table.
@@ -126,48 +204,9 @@ class TcpEndpoint {
   void on_segment(const Segment& segment);
 
   // ---- Snapshot support ------------------------------------------------
-  /// Every mutable per-connection member, frozen by value. Identity members
-  /// (node_, profile_, config_, callbacks_, on_released_) are session-stable
-  /// and excluded — a restore writes into the same endpoint object whose
-  /// callbacks were wired at creation. Timer handles are captured verbatim;
-  /// they stay valid because the scheduler snapshot preserves slot indices
-  /// and generations. Keep this struct and capture/restore in lockstep with
-  /// the member list below.
-  struct Snapshot {
-    snake::Rng rng{0};
-    TcpState state = TcpState::kClosed;
-    bool released = false;
-    Seq iss = 0, snd_una = 0, snd_nxt = 0, snd_max = 0;
-    std::uint32_t snd_wnd = 0;
-    std::deque<std::uint8_t> send_buf;
-    std::uint64_t queued_total = 0, acked_total = 0;
-    std::deque<std::uint64_t> push_points;
-    bool fin_pending = false, fin_sent = false;
-    Seq fin_seq = 0;
-    bool app_exited = false;
-    Seq irs = 0, rcv_nxt = 0;
-    std::map<Seq, Bytes, SeqCircularLess> out_of_order;
-    std::size_t out_of_order_bytes = 0;
-    bool remote_fin_seen = false;
-    bool sack_enabled = false;
-    std::map<Seq, Seq, SeqCircularLess> sacked;
-    Seq sack_retx_next = 0;
-    std::optional<Seq> last_ooo_start;
-    std::optional<CongestionControl> cc;  ///< optional only for default-constructibility
-    Seq recover = 0, last_retx_end = 0;
-    std::optional<Duration> srtt;
-    Duration rttvar = Duration::zero();
-    Duration rto = Duration::zero();
-    std::optional<Seq> timed_seq;
-    TimePoint timed_at;
-    sim::Timer retransmit_timer, time_wait_timer;
-    TimePoint rtx_deadline, rtx_fire_at;
-    int retries = 0;
-    TcpEndpointStats stats;
-  };
-
-  Snapshot capture_state() const;
-  void restore_state(const Snapshot& snap);
+  using Snapshot = TcpEndpointState;
+  Snapshot capture_state() const { return *this; }
+  void restore_state(const Snapshot& snap) { Snapshot::operator=(snap); }
 
   /// Marks the endpoint dead without cancelling timers or firing callbacks.
   /// Used when restoring an earlier snapshot on a graph that has since grown:
@@ -246,70 +285,7 @@ class TcpEndpoint {
   const TcpProfile* profile_;
   TcpEndpointConfig config_;
   TcpCallbacks callbacks_;
-  snake::Rng rng_;
   std::function<void()> on_released_;
-
-  TcpState state_ = TcpState::kClosed;
-  bool released_ = false;
-
-  // Send sequence space.
-  Seq iss_ = 0;
-  Seq snd_una_ = 0;
-  Seq snd_nxt_ = 0;
-  Seq snd_max_ = 0;  ///< highest sequence ever sent (survives RTO rewind)
-  std::uint32_t snd_wnd_ = 0;
-  std::deque<std::uint8_t> send_buf_;  ///< bytes [snd_una_, snd_una_+size)
-  // Stream-offset bookkeeping for PSH: real stacks set PSH on the final
-  // segment of each application write, so bulk data carries PSH "only
-  // occasionally". Offsets are cumulative byte counts since connect.
-  std::uint64_t queued_total_ = 0;
-  std::uint64_t acked_total_ = 0;
-  std::deque<std::uint64_t> push_points_;
-  bool fin_pending_ = false;
-  bool fin_sent_ = false;
-  Seq fin_seq_ = 0;
-  bool app_exited_ = false;
-
-  // Receive sequence space.
-  Seq irs_ = 0;
-  Seq rcv_nxt_ = 0;
-  std::map<Seq, Bytes, SeqCircularLess> out_of_order_;  ///< wrap-safe ordering
-  std::size_t out_of_order_bytes_ = 0;
-  bool remote_fin_seen_ = false;
-
-  // SACK (RFC 2018/2883). Negotiated on the handshake; the sender scoreboard
-  // holds disjoint SACKed ranges strictly above snd_una_, coalesced and
-  // pruned as the cumulative ACK advances, cleared on RTO (reneging safety).
-  bool sack_enabled_ = false;
-  std::map<Seq, Seq, SeqCircularLess> sacked_;  ///< start -> end, wrap-safe order
-  Seq sack_retx_next_ = 0;  ///< next hole candidate in the current recovery
-  std::optional<Seq> last_ooo_start_;  ///< most recent out-of-order arrival
-
-  // Congestion control & recovery.
-  CongestionControl cc_;
-  Seq recover_ = 0;
-  Seq last_retx_end_ = 0;  ///< end of the most recent loss-recovery retransmit
-
-  // RTT estimation (RFC 6298).
-  std::optional<Duration> srtt_;
-  Duration rttvar_ = Duration::zero();
-  Duration rto_;
-  std::optional<Seq> timed_seq_;
-  TimePoint timed_at_;
-
-  // Timers.
-  sim::Timer retransmit_timer_;
-  /// Lazy RTO restart: every ACK restarts the retransmit clock, but a
-  /// cancel + reschedule per ACK is the largest single source of scheduler
-  /// traffic in a bulk transfer. The physical event stays at `rtx_fire_at_`
-  /// and `rtx_deadline_` records where the clock logically is; a fire before
-  /// the deadline re-sleeps instead of timing out.
-  TimePoint rtx_deadline_;
-  TimePoint rtx_fire_at_;
-  sim::Timer time_wait_timer_;
-  int retries_ = 0;
-
-  TcpEndpointStats stats_;
 };
 
 }  // namespace snake::tcp

@@ -37,7 +37,6 @@
 #include "dist/wire.h"
 #include "dist/worker.h"
 #include "obs/json.h"
-#include "sim/scheduler.h"
 #include "snake/controller.h"
 #include "snake/faultpoint.h"
 #include "snake/trial_runner.h"
@@ -405,32 +404,67 @@ TEST(Distributed, ChaosSoakBitIdenticalUnderFullFaultLoad) {
   }
 }
 
-TEST(Distributed, SchedulerEngineChoiceDoesNotChangeFleetResults) {
-  // Workers exec fresh from /proc/self/exe, so the coordinator's scheduler
-  // engine only reaches them through the campaign wire message
-  // (WorkerCampaign::scheduler_engine). A heap-engine fleet must reproduce
-  // the wheel-engine fleet byte for byte.
-  struct EngineGuard {
-    sim::SchedulerEngine saved = sim::Scheduler::default_engine();
-    ~EngineGuard() { sim::Scheduler::set_default_engine(saved); }
-  } guard;
+/// The lines of a store file, in append (commit) order.
+std::vector<std::string> store_lines(const fs::path& path) {
+  std::ifstream in(path);
+  std::vector<std::string> lines;
+  for (std::string line; std::getline(in, line);) lines.push_back(line);
+  return lines;
+}
 
-  auto run_fleet = [] {
-    core::CampaignConfig config = small_campaign();
-    dist::DistOptions options;
-    options.workers = 2;
-    dist::DistributedBackend backend(options);
-    config.backend = &backend;
-    core::CampaignResult result = core::run_campaign(config);
-    EXPECT_EQ(result.metrics.counter("campaign.backend_fallback"), 0u);
-    return result_fingerprint(result);
+TEST(Distributed, FleetStoreMatchesInProcessStoreRecordForRecord) {
+  // Regression: workers used to drop observations of (state, packet type)
+  // pairs the coordinator had broadcast as covered. The broadcast ignored
+  // the direction the generator keys coverage by, and whether a worker had
+  // seen it before finishing a trial depended on timing. Fleet-written
+  // records then lost observations their in-process twins keep, and fleet
+  // campaigns generated different universes from run to run. Each run here
+  // writes its own store; both must hold the same records, byte for byte.
+  TempDir dir;
+  core::CampaignConfig config = small_campaign();
+  config.scenario.workload = core::Workload::kTrace;
+  config.scenario.trace_text =
+      "# snake-trace/v1\n"
+      "0.0 web1 open\n"
+      "0.2 web1 recv 80000\n"
+      "0.6 web1 send 1500\n"
+      "1.0 web1 recv 120000\n"
+      "2.0 web1 close\n"
+      "0.3 web2 open\n"
+      "0.8 web2 recv 50000\n"
+      "2.5 web2 close\n";
+  config.max_strategies = 40;
+  const std::uint64_t identity = core::campaign_identity_hash(config);
+
+  auto run = [&](const fs::path& path, core::TrialBackend* backend) {
+    dist::ResultCache store(path.string());
+    auto view = store.view(identity);
+    core::CampaignConfig c = config;
+    c.cache = &view;
+    c.backend = backend;
+    return core::run_campaign(c);
   };
+  const fs::path single_path = dir.path / "single.jsonl";
+  const fs::path fleet_path = dir.path / "fleet.jsonl";
+  core::CampaignResult single = run(single_path, nullptr);
+  dist::DistOptions options;
+  options.workers = 2;
+  dist::DistributedBackend backend(options);
+  core::CampaignResult fleet = run(fleet_path, &backend);
 
-  sim::Scheduler::set_default_engine(sim::SchedulerEngine::kTimerWheel);
-  const std::string wheel = run_fleet();
-  sim::Scheduler::set_default_engine(sim::SchedulerEngine::kBinaryHeap);
-  const std::string heap = run_fleet();
-  EXPECT_EQ(wheel, heap);
+  EXPECT_EQ(fleet.metrics.counter("campaign.backend_fallback"), 0u);
+  EXPECT_EQ(result_fingerprint(single), result_fingerprint(fleet));
+  const std::vector<std::string> single_lines = store_lines(single_path);
+  const std::vector<std::string> fleet_lines = store_lines(fleet_path);
+  EXPECT_EQ(single_lines.size(), single.strategies_tried);
+  ASSERT_EQ(single_lines.size(), fleet_lines.size());
+  std::size_t differing = 0;
+  std::string first;
+  for (std::size_t i = 0; i < single_lines.size(); ++i) {
+    if (single_lines[i] == fleet_lines[i]) continue;
+    if (differing++ == 0) first = "line " + std::to_string(i) + ": " + fleet_lines[i];
+  }
+  EXPECT_EQ(differing, 0u) << "first differing fleet record, " << first;
 }
 
 // ---------------------------------------------------------------------------
@@ -663,7 +697,6 @@ TEST(WireRoundTrip, EveryMessageTypeSurvivesEncodeDecode) {
   check(dist::encode_campaign(tiny_worker_campaign()), dist::MsgType::kCampaign);
   check(dist::encode_steal(5), dist::MsgType::kSteal);
   check(dist::encode_stolen({3, 4, 5}), dist::MsgType::kStolen);
-  check(dist::encode_feedback({{"ESTABLISHED", "ACK"}}), dist::MsgType::kFeedback);
   check(dist::encode_heartbeat(7), dist::MsgType::kHeartbeat);
   check(dist::encode_shutdown(), dist::MsgType::kShutdown);
   check(dist::encode_bye("", 2), dist::MsgType::kBye);

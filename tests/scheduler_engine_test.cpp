@@ -1,13 +1,15 @@
-// Differential suite for the scheduler's two ready-queue engines.
+// Differential suite for the scheduler's ready queue.
 //
-// The timer wheel is the production engine; the binary heap is the O(log n)
-// reference it must shadow exactly: for any script of schedule / cancel /
-// run operations, both engines fire the same events in the same order with
-// the same clock and counters (scheduler.h, "Event engine" in DESIGN.md).
-// Snapshots use an engine-agnostic encoding, so a capture taken under either
-// engine must restore under either engine. On top of the scheduler-level
-// properties, whole campaigns must be byte-identical across engines, and the
-// deterministic early-exit cut must never change what a campaign detects.
+// The timing wheel is the scheduler's only engine. This file keeps a small
+// binary-heap reference model of the same queue semantics (clamp past times
+// to now, pop in (time, insertion) order, cancelled entries popped and
+// counted): for any script of schedule / cancel / run operations, the wheel
+// must fire the same events in the same order with the same clock and
+// counters as the model (scheduler.h, "Event engine" in DESIGN.md). The
+// model is a plain value, so a copy taken at a capture point is the
+// reference for what a restored scheduler must drain. On top of the
+// scheduler-level properties, the deterministic early-exit cut must never
+// change what a campaign detects.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -28,21 +30,14 @@ namespace snake {
 namespace {
 
 using sim::Scheduler;
-using sim::SchedulerEngine;
 using sim::Timer;
 
-/// Restores the process-wide default engine on scope exit (campaign tests
-/// flip it; a failing EXPECT must not leak the heap default into later
-/// tests).
-struct DefaultEngineGuard {
-  SchedulerEngine saved = Scheduler::default_engine();
-  ~DefaultEngineGuard() { Scheduler::set_default_engine(saved); }
-};
-
 // ---------------------------------------------------------------------------
-// Scheduler-level properties: random scripts replayed against both engines.
+// Scheduler-level properties: random scripts replayed against the wheel and
+// the reference model.
 
-/// One scripted operation, interpreted identically against both engines.
+/// One scripted operation, interpreted identically by the scheduler and the
+/// model.
 struct Op {
   enum Kind : std::uint8_t { kSchedule, kScheduleLazy, kCancel, kRunUntil, kRunEvents };
   Kind kind = kSchedule;
@@ -83,7 +78,21 @@ std::vector<Op> make_script(std::uint64_t seed, std::size_t n) {
   return ops;
 }
 
-/// One engine's world: a scheduler plus the log its callbacks append to.
+/// Event id for the next scheduled op. Bit 63 tags lazy ids so quiescence
+/// properties can filter the log.
+std::uint64_t take_id(std::uint64_t& next_id, Op::Kind kind) {
+  const std::uint64_t id = next_id++;
+  return kind == Op::kScheduleLazy ? id | (std::uint64_t{1} << 63) : id;
+}
+
+std::string digest(std::int64_t now_ns, std::uint64_t executed, std::uint64_t cancelled,
+                   bool empty) {
+  std::ostringstream os;
+  os << now_ns << '/' << executed << '/' << cancelled << '/' << empty;
+  return os.str();
+}
+
+/// The scheduler under test plus the log its callbacks append to.
 /// Callbacks capture `this`, so every Env lives behind a unique_ptr (stable
 /// address) for its whole lifetime.
 struct Env {
@@ -92,20 +101,17 @@ struct Env {
   std::vector<Timer> timers;
   std::uint64_t next_id = 1;
 
-  explicit Env(SchedulerEngine engine) { EXPECT_TRUE(sched.set_engine(engine)); }
-
   void apply(const Op& op) {
     switch (op.kind) {
       case Op::kSchedule: {
-        const std::uint64_t id = next_id++;
+        const std::uint64_t id = take_id(next_id, op.kind);
         timers.push_back(sched.schedule_at(
             TimePoint::from_ns(sched.now().ns() + op.delta_ns),
             [this, id] { fired.push_back(id); }));
         break;
       }
       case Op::kScheduleLazy: {
-        // Bit 63 tags lazy ids so quiescence properties can filter the log.
-        const std::uint64_t id = next_id++ | (std::uint64_t{1} << 63);
+        const std::uint64_t id = take_id(next_id, op.kind);
         timers.push_back(sched.schedule_lazy_in(Duration::nanos(op.delta_ns),
                                                 [this, id] { fired.push_back(id); }));
         break;
@@ -123,35 +129,121 @@ struct Env {
   }
 
   std::string digest() const {
-    std::ostringstream os;
-    os << sched.now().ns() << '/' << sched.events_executed() << '/'
-       << sched.events_cancelled() << '/' << sched.empty();
-    return os.str();
+    return snake::digest(sched.now().ns(), sched.events_executed(), sched.events_cancelled(),
+                         sched.empty());
   }
 };
 
+/// The reference model: a binary min-heap over (time, seq) with the
+/// scheduler's clamp, cancel and pop semantics. Events log their id instead
+/// of running a callback, so the model is a plain value and copying it is a
+/// snapshot.
+class HeapModel {
+ public:
+  std::vector<std::uint64_t> fired;
+
+  void apply(const Op& op) {
+    switch (op.kind) {
+      case Op::kSchedule:
+      case Op::kScheduleLazy:  // laziness only matters to the quiescence cut
+        schedule(now_ + op.delta_ns, take_id(next_id_, op.kind));
+        break;
+      case Op::kCancel:
+        // Like Timer::cancel: only a still-pending event is affected.
+        if (!events_.empty()) {
+          Event& e = events_[op.pick % events_.size()];
+          if (e.state == Event::kPending) e.state = Event::kCancelled;
+        }
+        break;
+      case Op::kRunUntil: {
+        const std::int64_t until = now_ + op.delta_ns;
+        while (!heap_.empty() && heap_.front().at <= until) pop();
+        now_ = std::max(now_, until);
+        break;
+      }
+      case Op::kRunEvents:
+        for (std::uint64_t i = 0; i < op.pick && !heap_.empty(); ++i) pop();
+        break;
+    }
+  }
+
+  void run_all() {
+    while (!heap_.empty()) pop();
+  }
+
+  std::string digest() const {
+    return snake::digest(now_, executed_, cancelled_, heap_.empty());
+  }
+
+ private:
+  struct Event {
+    enum State : std::uint8_t { kPending, kCancelled, kDone };
+    std::uint64_t id = 0;
+    State state = kPending;
+  };
+  struct Entry {
+    std::int64_t at = 0;
+    std::uint64_t seq = 0;
+    std::size_t event = 0;
+  };
+  /// std::push_heap keeps the *largest* element on top, so "later" ranks an
+  /// entry below everything that must pop before it.
+  static bool later(const Entry& a, const Entry& b) {
+    return a.at != b.at ? a.at > b.at : a.seq > b.seq;
+  }
+
+  void schedule(std::int64_t at, std::uint64_t id) {
+    events_.push_back(Event{id, Event::kPending});
+    heap_.push_back(Entry{std::max(at, now_), next_seq_++, events_.size() - 1});
+    std::push_heap(heap_.begin(), heap_.end(), later);
+  }
+
+  void pop() {
+    std::pop_heap(heap_.begin(), heap_.end(), later);
+    const Entry entry = heap_.back();
+    heap_.pop_back();
+    now_ = entry.at;
+    Event& e = events_[entry.event];
+    if (e.state == Event::kCancelled) {
+      ++cancelled_;
+    } else {
+      ++executed_;
+      fired.push_back(e.id);
+    }
+    e.state = Event::kDone;
+  }
+
+  std::vector<Entry> heap_;
+  std::vector<Event> events_;  ///< indexed like Env::timers
+  std::int64_t now_ = 0;
+  std::uint64_t next_seq_ = 0;
+  std::uint64_t next_id_ = 1;
+  std::uint64_t executed_ = 0;
+  std::uint64_t cancelled_ = 0;
+};
+
 TEST(SchedulerEngines, IdenticalExecutionOnRandomScripts) {
-  auto config = testing::PropertyConfig::from_env(/*default_iterations=*/30, /*seed=*/17);
+  auto config = testing::PropertyConfig::from_env(/*default_iterations=*/200, /*seed=*/17);
   auto failure = testing::for_each_seed(config, [](std::uint64_t seed)
                                                     -> std::optional<std::string> {
     const std::vector<Op> script = make_script(seed, 250);
-    auto wheel = std::make_unique<Env>(SchedulerEngine::kTimerWheel);
-    auto heap = std::make_unique<Env>(SchedulerEngine::kBinaryHeap);
+    auto wheel = std::make_unique<Env>();
+    HeapModel model;
     for (std::size_t i = 0; i < script.size(); ++i) {
       wheel->apply(script[i]);
-      heap->apply(script[i]);
-      if (wheel->fired != heap->fired)
+      model.apply(script[i]);
+      if (wheel->fired != model.fired)
         return "fired order diverged after op " + std::to_string(i);
-      if (wheel->digest() != heap->digest())
+      if (wheel->digest() != model.digest())
         return "state diverged after op " + std::to_string(i) + ": wheel " +
-               wheel->digest() + " vs heap " + heap->digest();
+               wheel->digest() + " vs model " + model.digest();
     }
     wheel->sched.run_all();
-    heap->sched.run_all();
-    if (wheel->fired != heap->fired) return std::string("final drain order diverged");
-    if (wheel->digest() != heap->digest())
-      return "final state diverged: wheel " + wheel->digest() + " vs heap " +
-             heap->digest();
+    model.run_all();
+    if (wheel->fired != model.fired) return std::string("final drain order diverged");
+    if (wheel->digest() != model.digest())
+      return "final state diverged: wheel " + wheel->digest() + " vs model " +
+             model.digest();
     return std::nullopt;
   });
   ASSERT_FALSE(failure.has_value())
@@ -163,49 +255,49 @@ TEST(SchedulerEngines, SnapshotsRestoreIdenticallyAcrossEngines) {
   auto failure = testing::for_each_seed(config, [](std::uint64_t seed)
                                                     -> std::optional<std::string> {
     const std::vector<Op> script = make_script(seed, 160);
-    auto wheel = std::make_unique<Env>(SchedulerEngine::kTimerWheel);
-    auto heap = std::make_unique<Env>(SchedulerEngine::kBinaryHeap);
+    auto wheel = std::make_unique<Env>();
+    HeapModel model;
     const std::size_t half = script.size() / 2;
     for (std::size_t i = 0; i < half; ++i) {
       wheel->apply(script[i]);
-      heap->apply(script[i]);
+      model.apply(script[i]);
     }
-    Scheduler::Snapshot wheel_snap;
-    Scheduler::Snapshot heap_snap;
-    if (!wheel->sched.capture(wheel_snap)) return std::string("wheel capture declined");
-    if (!heap->sched.capture(heap_snap)) return std::string("heap capture declined");
+    Scheduler::Snapshot snap;
+    if (!wheel->sched.capture(snap)) return std::string("capture declined");
+    const HeapModel at_capture = model;
 
     // Live tails must agree first (sanity: the worlds were equal mid-script).
     for (std::size_t i = half; i < script.size(); ++i) {
       wheel->apply(script[i]);
-      heap->apply(script[i]);
+      model.apply(script[i]);
     }
     wheel->sched.run_all();
-    heap->sched.run_all();
-    if (wheel->fired != heap->fired) return std::string("live tails diverged");
+    model.run_all();
+    if (wheel->fired != model.fired) return std::string("live tails diverged");
 
-    // Each engine restored from its own snapshot drains the same sequence.
-    auto drain_restored = [](Env& env, const Scheduler::Snapshot& snap,
-                             std::vector<std::uint64_t>& log) {
-      env.sched.restore(snap);
-      const std::size_t mark = log.size();
-      env.sched.run_all();
-      return std::vector<std::uint64_t>(log.begin() + static_cast<std::ptrdiff_t>(mark),
-                                        log.end());
-    };
-    auto wheel_tail = drain_restored(*wheel, wheel_snap, wheel->fired);
-    auto heap_tail = drain_restored(*heap, heap_snap, heap->fired);
-    if (wheel_tail != heap_tail) return std::string("restored drains diverged");
+    // The model copied at the capture point drains the reference tail.
+    HeapModel reference = at_capture;
+    const std::size_t reference_mark = reference.fired.size();
+    reference.run_all();
+    const std::vector<std::uint64_t> reference_tail(
+        reference.fired.begin() + static_cast<std::ptrdiff_t>(reference_mark),
+        reference.fired.end());
 
-    // Cross-engine: the same (wheel-captured) snapshot restored into the
-    // heap-engine scheduler drains identically. Its callbacks log into the
-    // wheel Env either way, so slice that log for both drains.
-    auto native = drain_restored(*wheel, wheel_snap, wheel->fired);
-    auto cross = drain_restored(*heap, wheel_snap, wheel->fired);
-    if (native != cross) return std::string("cross-engine restore diverged");
-    if (wheel->sched.now() != heap->sched.now() ||
-        wheel->sched.events_executed() != heap->sched.events_executed())
-      return std::string("cross-engine restore left different clocks/counters");
+    // The restored scheduler must drain exactly that tail, twice over: the
+    // second restore of the same snapshot takes the copy-on-write path for
+    // every slot the first drain left untouched.
+    for (int round = 0; round < 2; ++round) {
+      wheel->sched.restore(snap);
+      const std::size_t mark = wheel->fired.size();
+      wheel->sched.run_all();
+      const std::vector<std::uint64_t> tail(
+          wheel->fired.begin() + static_cast<std::ptrdiff_t>(mark), wheel->fired.end());
+      if (tail != reference_tail)
+        return "restored drain " + std::to_string(round) + " diverged from the model";
+      if (wheel->digest() != reference.digest())
+        return "restored drain " + std::to_string(round) + " left wheel " +
+               wheel->digest() + " vs model " + reference.digest();
+    }
     return std::nullopt;
   });
   ASSERT_FALSE(failure.has_value())
@@ -218,8 +310,8 @@ TEST(SchedulerEngines, QuiescentRunMatchesPlainRunOnActiveEvents) {
                                                     -> std::optional<std::string> {
     Rng rng(seed);
     const TimePoint horizon = TimePoint::from_ns(30'000'000);
-    auto plain = std::make_unique<Env>(SchedulerEngine::kTimerWheel);
-    auto quick = std::make_unique<Env>(SchedulerEngine::kTimerWheel);
+    auto plain = std::make_unique<Env>();
+    auto quick = std::make_unique<Env>();
     for (int i = 0; i < 120; ++i) {
       Op op;
       op.kind = rng.uniform(0, 3) == 0 ? Op::kScheduleLazy : Op::kSchedule;
@@ -253,7 +345,7 @@ TEST(SchedulerEngines, QuiescentRunMatchesPlainRunOnActiveEvents) {
 }
 
 // ---------------------------------------------------------------------------
-// Campaign-level: engines and early-exit are invisible to campaign results.
+// Campaign-level: early exit is invisible to campaign detections.
 
 core::CampaignResult small_campaign(core::Protocol protocol, bool early_exit,
                                     bool collect_metrics) {
@@ -267,20 +359,6 @@ core::CampaignResult small_campaign(core::Protocol protocol, bool early_exit,
   config.collect_metrics = collect_metrics;
   config.early_exit = early_exit;
   return core::run_campaign(config);
-}
-
-TEST(SchedulerEngines, CampaignResultsAreByteIdenticalAcrossEngines) {
-  DefaultEngineGuard guard;
-  for (core::Protocol protocol : {core::Protocol::kTcp, core::Protocol::kDccp}) {
-    SCOPED_TRACE(core::to_string(protocol));
-    Scheduler::set_default_engine(SchedulerEngine::kTimerWheel);
-    core::CampaignResult wheel =
-        small_campaign(protocol, /*early_exit=*/true, /*collect_metrics=*/false);
-    Scheduler::set_default_engine(SchedulerEngine::kBinaryHeap);
-    core::CampaignResult heap =
-        small_campaign(protocol, /*early_exit=*/true, /*collect_metrics=*/false);
-    EXPECT_EQ(wheel.to_json(), heap.to_json());
-  }
 }
 
 /// The detector-visible surface of a CampaignResult: everything except
