@@ -11,8 +11,13 @@
 // time-interval: 5 us slots that mostly contain no packet at all).
 //
 //   bench_ablation_injection [budget-per-approach] [duration-seconds]
+//
+// A non-numeric or extra argument prints the usage to stderr and exits 2.
+#include <cmath>
 #include <cstdio>
+#include <cstdlib>
 #include <set>
+#include <string>
 
 #include "packet/tcp_format.h"
 #include "snake/detector.h"
@@ -54,11 +59,38 @@ ApproachResult evaluate(const std::vector<strategy::Strategy>& strategies,
   return result;
 }
 
+int usage(const char* argv0, const std::string& problem) {
+  std::fprintf(stderr,
+               "%s: %s\n"
+               "usage: %s [budget-per-approach] [duration-seconds]\n",
+               argv0, problem.c_str(), argv0);
+  return 2;
+}
+
+/// A whole decimal number and nothing else: "--foo", "12x" and "-3" fail.
+bool parse_count(const std::string& text, std::uint64_t& out) {
+  if (text.empty() || text.find_first_not_of("0123456789") != std::string::npos) return false;
+  out = std::strtoull(text.c_str(), nullptr, 10);
+  return true;
+}
+
+/// A positive, finite number of seconds and nothing else.
+bool parse_seconds(const std::string& text, double& out) {
+  char* end = nullptr;
+  out = std::strtod(text.c_str(), &end);
+  return end != text.c_str() && *end == '\0' && std::isfinite(out) && out > 0.0;
+}
+
 }  // namespace
 
 int main(int argc, char** argv) {
-  std::uint64_t budget = argc > 1 ? std::strtoull(argv[1], nullptr, 10) : 120;
-  double duration = argc > 2 ? std::strtod(argv[2], nullptr) : 10.0;
+  std::uint64_t budget = 120;
+  double duration = 10.0;
+  if (argc > 3) return usage(argv[0], std::string("unexpected argument ") + argv[3]);
+  if (argc > 1 && !parse_count(argv[1], budget))
+    return usage(argv[0], std::string("budget must be a whole number, got ") + argv[1]);
+  if (argc > 2 && !parse_seconds(argv[2], duration))
+    return usage(argv[0], std::string("duration must be positive seconds, got ") + argv[2]);
 
   ScenarioConfig scenario;
   scenario.protocol = Protocol::kTcp;

@@ -9,7 +9,13 @@
 // Every number below (outside the Table-I summary line) comes straight out
 // of the campaign's merged MetricsRegistry — the same counters the JSON
 // reports carry — rather than being recomputed here from raw run results.
+//
+//   bench_fig2_pipeline [budget]
+//
+// A non-numeric or extra argument prints the usage to stderr and exits 2.
 #include <cstdio>
+#include <cstdlib>
+#include <string>
 
 #include "obs/metrics.h"
 #include "snake/controller.h"
@@ -35,10 +41,28 @@ void print_counter(const obs::MetricsRegistry& m, const char* label, const std::
   std::printf("  %-40s %llu\n", label, (unsigned long long)counter_or0(m, name));
 }
 
+int usage(const char* argv0, const std::string& problem) {
+  std::fprintf(stderr,
+               "%s: %s\n"
+               "usage: %s [budget]\n",
+               argv0, problem.c_str(), argv0);
+  return 2;
+}
+
+/// A whole decimal number and nothing else: "--foo", "12x" and "-3" fail.
+bool parse_count(const std::string& text, std::uint64_t& out) {
+  if (text.empty() || text.find_first_not_of("0123456789") != std::string::npos) return false;
+  out = std::strtoull(text.c_str(), nullptr, 10);
+  return true;
+}
+
 }  // namespace
 
 int main(int argc, char** argv) {
-  std::uint64_t budget = argc > 1 ? std::strtoull(argv[1], nullptr, 10) : 120;
+  std::uint64_t budget = 120;
+  if (argc > 2) return usage(argv[0], std::string("unexpected argument ") + argv[2]);
+  if (argc > 1 && !parse_count(argv[1], budget))
+    return usage(argv[0], std::string("budget must be a whole number, got ") + argv[1]);
 
   CampaignConfig config;
   config.scenario.protocol = Protocol::kTcp;

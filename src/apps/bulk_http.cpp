@@ -1,7 +1,6 @@
 #include "apps/bulk_http.h"
 
 #include <array>
-#include <cstring>
 #include <memory>
 
 namespace snake::apps {
@@ -24,15 +23,18 @@ const std::uint8_t* pattern_table() {
   return table.data();
 }
 
-void fill_response_pattern(Bytes& chunk, std::uint64_t offset) {
+/// Bytes [offset, offset + n) of the response, built straight into a fresh
+/// buffer that send() then takes over without a copy.
+Bytes response_chunk(std::uint64_t offset, std::size_t n) {
   const std::uint8_t* table = pattern_table();
-  std::size_t i = 0;
-  while (i < chunk.size()) {
-    std::size_t phase = static_cast<std::size_t>((offset + i) % kPatternPeriod);
-    std::size_t run = std::min(chunk.size() - i, kPatternPeriod);
-    std::memcpy(chunk.data() + i, table + phase, run);
-    i += run;
+  Bytes chunk;
+  chunk.reserve(n);
+  while (chunk.size() < n) {
+    std::size_t phase = static_cast<std::size_t>((offset + chunk.size()) % kPatternPeriod);
+    std::size_t run = std::min(n - chunk.size(), kPatternPeriod);
+    chunk.insert(chunk.end(), table + phase, table + phase + run);
   }
+  return chunk;
 }
 
 }  // namespace
@@ -58,14 +60,15 @@ BulkHttpServer::BulkHttpServer(tcp::TcpStack& stack, std::uint16_t port,
 
 void BulkHttpServer::pump(tcp::TcpEndpoint* endpoint, std::shared_ptr<PerConnection> state) {
   if (state->closed || endpoint->released()) return;
+  // Once the peer's FIN made us close(), the socket drops every write: the
+  // rest of the response counts as handed over without being made.
+  if (!endpoint->accepts_data()) state->queued = response_bytes_;
   // Top the send buffer up to one chunk; stop once the full response has
   // been handed over, then close like an HTTP/1.0 server would.
   while (state->queued < response_bytes_ && endpoint->send_queue_bytes() < kChunk) {
     std::size_t n = static_cast<std::size_t>(
         std::min<std::uint64_t>(kChunk, response_bytes_ - state->queued));
-    chunk_scratch_.resize(n);
-    fill_response_pattern(chunk_scratch_, state->queued);
-    endpoint->send(chunk_scratch_);
+    endpoint->send(response_chunk(state->queued, n));
     state->queued += n;
   }
   if (state->queued >= response_bytes_ && endpoint->send_queue_bytes() == 0) {

@@ -21,7 +21,8 @@ namespace snake::apps {
 /// HTTP-like bulk server. Accepts connections on `port` and streams
 /// `response_bytes` to each, topping up the socket's send buffer from a
 /// periodic pump so memory stays bounded, then closes. Also closes its end
-/// when the remote closes first.
+/// when the remote closes first; from then on the socket accepts no data, so
+/// the pump makes none of the rest of the response.
 class BulkHttpServer {
  public:
   BulkHttpServer(tcp::TcpStack& stack, std::uint16_t port, std::uint64_t response_bytes);
@@ -56,10 +57,6 @@ class BulkHttpServer {
   /// Every PerConnection ever created, in accept order — the snapshot layer's
   /// handle on pump state otherwise reachable only through closures.
   std::vector<std::shared_ptr<PerConnection>> registry_;
-  /// Reused pump chunk. send() copies it into the socket's buffer, so the
-  /// only live state is inside one pump call; reusing the storage keeps the
-  /// per-pump cost at one pattern fill instead of alloc + zero-init + fill.
-  Bytes chunk_scratch_;
 
   static constexpr std::size_t kChunk = 64 * 1024;       ///< send-buffer top-up target
   static constexpr Duration kPumpInterval = Duration::millis(10);

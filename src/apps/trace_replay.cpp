@@ -64,7 +64,7 @@ void TraceReplayServer::play_flow(tcp::TcpEndpoint* endpoint,
       if (endpoint->released()) return;
       Bytes chunk(static_cast<std::size_t>(n));
       fill_replay_pattern(chunk, burst_offset);
-      endpoint->send(chunk);
+      endpoint->send(std::move(chunk));
     });
     offset += n;
   }
@@ -141,7 +141,7 @@ void TraceReplayClient::open_flow(std::size_t index) {
         if (exited_ || state->endpoint == nullptr || state->endpoint->released()) return;
         Bytes chunk(static_cast<std::size_t>(n));
         fill_replay_pattern(chunk, burst_offset);
-        state->endpoint->send(chunk);
+        state->endpoint->send(std::move(chunk));
       });
       offset += n;
     }

@@ -97,16 +97,16 @@ void TcpEndpoint::accept(Seq remote_isn, bool peer_sack_permitted) {
   arm_retransmit();
 }
 
-void TcpEndpoint::send(const Bytes& data) {
-  if (released_ || fin_pending_ || fin_sent_) return;
-  send_buf_.insert(send_buf_.end(), data.begin(), data.end());
+void TcpEndpoint::send(Bytes data) {
+  if (!accepts_data()) return;
   queued_total_ += data.size();
+  send_buf_.append(std::move(data));
   push_points_.push_back(queued_total_);  // PSH at the end of this write
   if (state_ == TcpState::kEstablished || state_ == TcpState::kCloseWait) try_send();
 }
 
 void TcpEndpoint::close() {
-  if (released_ || fin_pending_ || fin_sent_) return;
+  if (!accepts_data()) return;
   fin_pending_ = true;
   if (state_ == TcpState::kEstablished || state_ == TcpState::kCloseWait) {
     try_send();
@@ -323,7 +323,7 @@ void TcpEndpoint::process_ack(const Segment& s) {
     // New data acknowledged.
     std::uint32_t acked = s.ack - snd_una_;
     std::size_t data_acked = std::min<std::size_t>(acked, send_buf_.size());
-    send_buf_.erase(send_buf_.begin(), send_buf_.begin() + static_cast<std::ptrdiff_t>(data_acked));
+    send_buf_.consume(data_acked);
     acked_total_ += data_acked;
     while (!push_points_.empty() && push_points_.front() <= acked_total_)
       push_points_.pop_front();
@@ -657,8 +657,7 @@ void TcpEndpoint::retransmit_next_hole() {
   std::size_t len = std::min({config_.mss, static_cast<std::size_t>(hole_end - at),
                               send_buf_.size() - offset});
   if (len == 0) return;
-  Bytes chunk(send_buf_.begin() + static_cast<std::ptrdiff_t>(offset),
-              send_buf_.begin() + static_cast<std::ptrdiff_t>(offset + len));
+  Bytes chunk = send_buf_.slice(offset, len);
   ++stats_.retransmissions;
   ++stats_.sack_retransmits;
   timed_seq_.reset();
@@ -702,8 +701,7 @@ void TcpEndpoint::try_send() {
     // for the window to open a full MSS or for everything to be acked.
     if (can_send < config_.mss && flight_bytes() > 0 && unsent_bytes() > can_send) break;
     std::size_t offset = snd_nxt_ - snd_una_;
-    Bytes chunk(send_buf_.begin() + static_cast<std::ptrdiff_t>(offset),
-                send_buf_.begin() + static_cast<std::ptrdiff_t>(offset + can_send));
+    Bytes chunk = send_buf_.slice(offset, can_send);
     start_rtt_sample(snd_nxt_ + static_cast<std::uint32_t>(can_send));
     // PSH marks the end of an application write (real stacks do the same),
     // so bulk data is mostly plain ACK segments and PSH+ACK "occur[s] only
@@ -809,8 +807,7 @@ void TcpEndpoint::on_retransmit_timeout() {
       } else if (unsent_bytes() > 0 && snd_wnd_ == 0) {
         // Zero-window probe: one byte past the edge.
         std::size_t offset = snd_nxt_ - snd_una_;
-        Bytes probe = {send_buf_[offset]};
-        emit(kTcpPsh | kTcpAck, snd_nxt_, std::move(probe));
+        emit(kTcpPsh | kTcpAck, snd_nxt_, send_buf_.slice(offset, 1));
         snd_nxt_ += 1;
         if (seq_gt(snd_nxt_, snd_max_)) snd_max_ = snd_nxt_;
       }
@@ -832,7 +829,7 @@ void TcpEndpoint::retransmit_one() {
       std::uint32_t hole = sacked_.begin()->first - snd_una_;
       if (hole > 0) len = std::min<std::size_t>(len, hole);
     }
-    Bytes chunk(send_buf_.begin(), send_buf_.begin() + static_cast<std::ptrdiff_t>(len));
+    Bytes chunk = send_buf_.slice(0, len);
     ++stats_.retransmissions;
     timed_seq_.reset();
     last_retx_end_ = snd_una_ + static_cast<std::uint32_t>(len);

@@ -18,6 +18,7 @@
 #include "tcp/congestion.h"
 #include "tcp/profile.h"
 #include "tcp/segment.h"
+#include "tcp/send_buffer.h"
 #include "tcp/seq.h"
 #include "util/rng.h"
 #include "util/time.h"
@@ -107,7 +108,7 @@ struct TcpEndpointState {
   Seq snd_nxt_ = 0;
   Seq snd_max_ = 0;  ///< highest sequence ever sent (survives RTO rewind)
   std::uint32_t snd_wnd_ = 0;
-  std::deque<std::uint8_t> send_buf_;  ///< bytes [snd_una_, snd_una_+size)
+  SendBuffer send_buf_;  ///< bytes [snd_una_, snd_una_+size); copies share chunks
   // Stream-offset bookkeeping for PSH: real stacks set PSH on the final
   // segment of each application write, so bulk data carries PSH "only
   // occasionally". Offsets are cumulative byte counts since connect.
@@ -184,8 +185,10 @@ class TcpEndpoint : private TcpEndpointState {
   /// `peer_sack_permitted` reflects the SYN's kind-4 option (RFC 2018 §2).
   void accept(Seq remote_isn, bool peer_sack_permitted = false);
 
-  /// Queues application data for transmission.
-  void send(const Bytes& data);
+  /// Queues application data for transmission. Takes the write by value:
+  /// a caller that moves its buffer in hands it over without a copy. Dropped
+  /// when the socket no longer accepts data (see accepts_data()).
+  void send(Bytes data);
 
   /// Graceful close: FIN after queued data drains.
   void close();
@@ -220,6 +223,9 @@ class TcpEndpoint : private TcpEndpointState {
   // ---- Introspection ---------------------------------------------------
   TcpState state() const { return state_; }
   bool released() const { return released_; }
+  /// False once close()/app_exit() was called or the socket is gone: send()
+  /// drops anything handed to it from then on.
+  bool accepts_data() const { return !released_ && !fin_pending_ && !fin_sent_; }
   const TcpEndpointStats& stats() const { return stats_; }
   const TcpEndpointConfig& config() const { return config_; }
   const TcpProfile& profile() const { return *profile_; }

@@ -11,10 +11,10 @@ namespace snake::apps {
 namespace {
 
 struct World {
-  World()
+  explicit World(const tcp::TcpProfile& client_profile = tcp::linux_3_13_profile())
       : a(net.add_node(1, "client")),
         b(net.add_node(2, "server")),
-        tcp_a(a, tcp::linux_3_13_profile(), Rng(1)),
+        tcp_a(a, client_profile, Rng(1)),
         tcp_b(b, tcp::linux_3_13_profile(), Rng(2)),
         dccp_a(a, Rng(3)),
         dccp_b(b, Rng(4)) {
@@ -66,6 +66,27 @@ TEST(BulkHttp, ClientExitMidDownloadTriggersAppExit) {
   EXPECT_GT(client.endpoint().stats().rsts_sent, 0u);
   EXPECT_EQ(w.tcp_b.open_sockets(), 0u);
   EXPECT_LT(client.bytes_received(), 1ULL << 30);
+}
+
+TEST(BulkHttp, PeerCloseDoesNotGenerateTheRestOfTheResponse) {
+  // A Windows client drains gracefully after exiting: no RST, just its FIN,
+  // so the server's socket closes for writing with nearly the whole response
+  // still unsent. The pump must not build that remainder only for send() to
+  // drop it — at 2^62 bytes that would never finish — but hand the socket
+  // over to its FIN and release.
+  World w(tcp::windows_8_1_profile());
+  BulkHttpServer server(w.tcp_b, 80, 1ULL << 62);
+  BulkHttpClient client(w.tcp_a, 2, 80, Duration::seconds(1.0));
+  w.run_for(5.0);
+  EXPECT_EQ(client.endpoint().stats().rsts_sent, 0u);
+  EXPECT_GT(client.bytes_received(), 0u);
+  ASSERT_EQ(w.tcp_b.endpoints().size(), 1u);
+  const tcp::TcpEndpoint& server_ep = *w.tcp_b.endpoints()[0];
+  EXPECT_TRUE(server_ep.released());
+  EXPECT_EQ(server_ep.send_queue_bytes(), 0u);
+  // The server's FIN reached the client: it left FIN_WAIT_2 for TIME_WAIT.
+  EXPECT_EQ(client.endpoint().state(), tcp::TcpState::kTimeWait);
+  EXPECT_EQ(w.tcp_b.open_sockets(), 0u);
 }
 
 TEST(IperfDccp, GoodputTracksOfferBelowCapacity) {

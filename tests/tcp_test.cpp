@@ -3,8 +3,10 @@
 // including the profile quirks that make the paper's attacks possible.
 #include <gtest/gtest.h>
 
+#include <deque>
 #include <optional>
 #include <set>
+#include <vector>
 
 #include "packet/tcp_format.h"
 #include "sim/network.h"
@@ -12,6 +14,7 @@
 #include "tcp/endpoint.h"
 #include "tcp/profile.h"
 #include "tcp/segment.h"
+#include "tcp/send_buffer.h"
 #include "tcp/seq.h"
 #include "tcp/stack.h"
 #include "util/rng.h"
@@ -227,6 +230,151 @@ TEST(Congestion, RtoCollapsesToOneSegment) {
   cc.on_rto(8000);
   EXPECT_EQ(cc.cwnd(), 1000u);
   EXPECT_EQ(cc.ssthresh(), 4000u);
+}
+
+// ----------------------------------------------------------- send buffer
+
+/// Reference model for SendBuffer: the byte-wise queue it replaced, plus the
+/// stream offset at which each write ended — the chunk edges the buffer's
+/// slicing and trimming must get right.
+struct ByteQueueModel {
+  std::deque<std::uint8_t> bytes;
+  std::uint64_t consumed = 0;             ///< stream offset of bytes.front()
+  std::vector<std::uint64_t> write_ends;  ///< stream offsets, ascending
+
+  /// Chunk edges still inside the queue, relative to its front.
+  std::vector<std::size_t> edges() const {
+    std::vector<std::size_t> out;
+    for (std::uint64_t end : write_ends)
+      if (end > consumed && end < consumed + bytes.size())
+        out.push_back(static_cast<std::size_t>(end - consumed));
+    return out;
+  }
+  Bytes slice(std::size_t offset, std::size_t len) const {
+    return Bytes(bytes.begin() + static_cast<std::ptrdiff_t>(offset),
+                 bytes.begin() + static_cast<std::ptrdiff_t>(offset + len));
+  }
+};
+
+struct BufferAndModel {
+  SendBuffer buf;
+  ByteQueueModel model;
+
+  void append(std::size_t n, std::uint8_t& next_byte) {
+    Bytes data(n);
+    for (auto& b : data) b = next_byte++;
+    model.bytes.insert(model.bytes.end(), data.begin(), data.end());
+    if (n > 0) model.write_ends.push_back(model.consumed + model.bytes.size());
+    buf.append(std::move(data));
+  }
+  void consume(std::size_t n) {
+    buf.consume(n);
+    model.bytes.erase(model.bytes.begin(), model.bytes.begin() + static_cast<std::ptrdiff_t>(n));
+    model.consumed += n;
+  }
+  bool whole_matches() const {
+    return buf.size() == model.bytes.size() &&
+           buf.slice(0, buf.size()) == model.slice(0, model.bytes.size());
+  }
+};
+
+TEST(SendBuffer, MatchesByteQueueModelUnderRandomScripts) {
+  std::size_t straddles = 0, probes = 0, edge_consumes = 0, diverged_copies = 0;
+  for (std::uint64_t seed = 1; seed <= 40; ++seed) {
+    Rng rng(seed);
+    BufferAndModel live;
+    std::vector<BufferAndModel> copies;  // snapshots taken along the script
+    std::uint8_t next_byte = 0;
+    for (int step = 0; step < 300; ++step) {
+      const std::size_t size = live.buf.size();
+      const std::vector<std::size_t> edges = live.model.edges();
+      std::uint64_t op = rng.uniform(0, 8);
+      if (size > 16000 && op <= 2) op = 3;  // keep the queue small
+      switch (op) {
+        case 0:
+        case 1:
+        case 2: {
+          // Mostly segment-sized writes, with empty and 1-byte ones mixed in.
+          std::uint64_t kind = rng.uniform(0, 9);
+          std::size_t n = kind == 0 ? 0 : kind == 1 ? 1 : rng.uniform(2, 3000);
+          live.append(n, next_byte);
+          break;
+        }
+        case 3:
+          live.consume(rng.uniform(0, size));
+          break;
+        case 4:
+          if (edges.empty()) break;
+          live.consume(edges[rng.uniform(0, edges.size() - 1)]);
+          ++edge_consumes;
+          break;
+        case 5: {
+          if (size == 0) break;
+          std::size_t offset = rng.uniform(0, size - 1);
+          std::size_t len = rng.uniform(0, std::min<std::size_t>(size - offset, 1400));
+          ASSERT_EQ(live.buf.slice(offset, len), live.model.slice(offset, len))
+              << "seed " << seed << " step " << step;
+          break;
+        }
+        case 6: {
+          // A segment that starts before a chunk edge and ends after it.
+          if (edges.empty()) break;
+          std::size_t edge = edges[rng.uniform(0, edges.size() - 1)];
+          std::size_t offset = edge - rng.uniform(1, std::min<std::size_t>(edge, 1400));
+          std::size_t len = edge - offset + rng.uniform(1, std::min<std::size_t>(size - edge, 1400));
+          ASSERT_EQ(live.buf.slice(offset, len), live.model.slice(offset, len))
+              << "seed " << seed << " step " << step;
+          ++straddles;
+          break;
+        }
+        case 7: {
+          // Zero-window probe: one byte anywhere.
+          if (size == 0) break;
+          std::size_t offset = rng.uniform(0, size - 1);
+          ASSERT_EQ(live.buf.slice(offset, 1), live.model.slice(offset, 1))
+              << "seed " << seed << " step " << step;
+          ++probes;
+          break;
+        }
+        case 8:
+          copies.push_back(live);
+          if (copies.size() > 4) copies.erase(copies.begin());
+          break;
+      }
+      ASSERT_EQ(live.buf.size(), live.model.bytes.size()) << "seed " << seed << " step " << step;
+      ASSERT_EQ(live.buf.empty(), live.model.bytes.empty());
+      if (step % 16 == 0) {
+        ASSERT_TRUE(live.whole_matches()) << "seed " << seed << " step " << step;
+      }
+    }
+    ASSERT_TRUE(live.whole_matches()) << "seed " << seed;
+    // Every copy still holds the bytes of its capture point, however the
+    // live buffer was consumed or appended to afterwards.
+    for (const BufferAndModel& copy : copies) {
+      ASSERT_TRUE(copy.whole_matches()) << "seed " << seed;
+      if (copy.model.bytes != live.model.bytes) ++diverged_copies;
+    }
+  }
+  EXPECT_GT(straddles, 0u);
+  EXPECT_GT(probes, 0u);
+  EXPECT_GT(edge_consumes, 0u);
+  EXPECT_GT(diverged_copies, 0u);
+}
+
+TEST(SendBuffer, CopyKeepsItsBytesWhileTheOriginalMovesOn) {
+  SendBuffer original;
+  original.append(Bytes{1, 2, 3});
+  original.append(Bytes{4, 5});
+  original.consume(1);
+  SendBuffer copy = original;
+  original.consume(3);  // exactly to the edge of the first chunk, and past it
+  original.append(Bytes{6});
+  EXPECT_EQ(original.slice(0, original.size()), (Bytes{5, 6}));
+  ASSERT_EQ(copy.size(), 4u);
+  EXPECT_EQ(copy.slice(0, 4), (Bytes{2, 3, 4, 5}));
+  EXPECT_EQ(copy.slice(1, 2), (Bytes{3, 4}));  // straddles the chunk edge
+  original = copy;                             // restore
+  EXPECT_EQ(original.slice(0, original.size()), (Bytes{2, 3, 4, 5}));
 }
 
 // ----------------------------------------------------------- integration
