@@ -39,6 +39,17 @@ Bytes response_chunk(std::uint64_t offset, std::size_t n) {
 
 }  // namespace
 
+std::shared_ptr<const Bytes> BulkHttpServer::full_chunk() {
+  // Chunk offsets are multiples of kChunk, a multiple of the pattern period,
+  // so every full chunk of every response is these same bytes: build them
+  // once per process and share them, read-only, across sockets, snapshots
+  // and executor threads.
+  static_assert(kChunk % kPatternPeriod == 0);
+  static const std::shared_ptr<const Bytes> chunk =
+      std::make_shared<const Bytes>(response_chunk(0, kChunk));
+  return chunk;
+}
+
 struct BulkHttpServer::PerConnection {
   std::uint64_t queued = 0;  ///< bytes handed to the socket so far
   bool closed = false;
@@ -68,7 +79,12 @@ void BulkHttpServer::pump(tcp::TcpEndpoint* endpoint, std::shared_ptr<PerConnect
   while (state->queued < response_bytes_ && endpoint->send_queue_bytes() < kChunk) {
     std::size_t n = static_cast<std::size_t>(
         std::min<std::uint64_t>(kChunk, response_bytes_ - state->queued));
-    endpoint->send(response_chunk(state->queued, n));
+    // `queued` advances in whole chunks, so only the tail is not the shared
+    // full chunk.
+    if (n == kChunk)
+      endpoint->send(full_chunk());
+    else
+      endpoint->send(response_chunk(state->queued, n));
     state->queued += n;
   }
   if (state->queued >= response_bytes_ && endpoint->send_queue_bytes() == 0) {
@@ -103,7 +119,7 @@ BulkHttpClient::BulkHttpClient(tcp::TcpStack& stack, sim::Address server, std::u
                                std::optional<Duration> exit_after) {
   tcp::TcpCallbacks cb;
   cb.on_established = [this] { established_ = true; };
-  cb.on_data = [this](const Bytes& chunk) { bytes_received_ += chunk.size(); };
+  cb.on_data = [this](ByteView chunk) { bytes_received_ += chunk.size(); };
   cb.on_reset = [this] { reset_ = true; };
   cb.on_remote_close = [this] {
     if (endpoint_ != nullptr) endpoint_->close();  // download complete

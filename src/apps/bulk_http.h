@@ -58,6 +58,9 @@ class BulkHttpServer {
   /// handle on pump state otherwise reachable only through closures.
   std::vector<std::shared_ptr<PerConnection>> registry_;
 
+  /// The response bytes at any offset that is a multiple of kChunk.
+  static std::shared_ptr<const Bytes> full_chunk();
+
   static constexpr std::size_t kChunk = 64 * 1024;       ///< send-buffer top-up target
   static constexpr Duration kPumpInterval = Duration::millis(10);
 };

@@ -146,7 +146,7 @@ void TraceReplayClient::open_flow(std::size_t index) {
       offset += n;
     }
   };
-  cb.on_data = [state](const Bytes& chunk) { state->bytes_received += chunk.size(); };
+  cb.on_data = [state](ByteView chunk) { state->bytes_received += chunk.size(); };
   cb.on_reset = [state] { state->reset = true; };
   cb.on_remote_close = [state] {
     if (state->endpoint != nullptr && !state->endpoint->released()) state->endpoint->close();

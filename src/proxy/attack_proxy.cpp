@@ -305,57 +305,82 @@ void AttackProxy::fire_injection(Armed& armed) {
   }
 }
 
-void AttackProxy::inject_one(const Armed& armed, std::uint64_t sweep_index) {
+void AttackProxy::inject_one(Armed& armed, std::uint64_t sweep_index) {
+  // Compile at the first injection — not at arm time — so a strategy naming
+  // an unknown type or field fails its trial exactly when it would have
+  // forged its first packet. The proxied connection's client port is learned
+  // from traffic, so a template built before it was known is rebuilt once.
+  std::uint16_t client_port = learned_client_port_.value_or(0);
+  if (!armed.forged.has_value() || armed.forged->client_port != client_port)
+    armed.forged = compile_forged(armed.strat, client_port);
+  const Forged& forged = *armed.forged;
   const strategy::InjectSpec& spec = *armed.strat.inject;
-  std::map<std::string, std::uint64_t> fields = spec.fields;
 
+  sim::Packet packet;
+  packet.src = forged.src;
+  packet.dst = forged.dst;
+  packet.protocol = targets_.protocol;
+  packet.bytes = node_.scheduler().buffer_pool().acquire();
+  packet.bytes.assign(forged.bytes.begin(), forged.bytes.end());
+  if (forged.sweep != nullptr) {
+    // Format fields never overlap, so writing the sweep field last yields
+    // the bytes Codec::build makes with the swept value in the fields map;
+    // the checksum is refreshed even when the swept field is the checksum,
+    // as build() does.
+    codec_->format().write(packet.bytes, *forged.sweep,
+                           spec.seq_start + sweep_index * spec.seq_stride);
+    codec_->refresh_checksum(packet.bytes);
+  }
+  ++stats_.injected;
+  node_.inject_packet(std::move(packet), forged.direction);
+}
+
+AttackProxy::Forged AttackProxy::compile_forged(const Strategy& s,
+                                                std::uint16_t client_port) const {
+  const strategy::InjectSpec& spec = *s.inject;
+  Forged out;
+  out.client_port = client_port;
   // Addressing: pick endpoints of the targeted connection.
-  sim::Address src, dst;
   std::uint16_t src_port, dst_port;
   if (spec.target_competing) {
     if (spec.spoof_toward_client) {
-      src = targets_.competing_server_addr;
-      dst = targets_.competing_client_addr;
+      out.src = targets_.competing_server_addr;
+      out.dst = targets_.competing_client_addr;
       src_port = targets_.competing_server_port;
       dst_port = targets_.competing_client_port_guess;
     } else {
-      src = targets_.competing_client_addr;
-      dst = targets_.competing_server_addr;
+      out.src = targets_.competing_client_addr;
+      out.dst = targets_.competing_server_addr;
       src_port = targets_.competing_client_port_guess;
       dst_port = targets_.competing_server_port;
     }
   } else {
-    std::uint16_t client_port = learned_client_port_.value_or(0);
     if (spec.spoof_toward_client) {
-      src = targets_.server_addr;
-      dst = targets_.client_addr;
+      out.src = targets_.server_addr;
+      out.dst = targets_.client_addr;
       src_port = targets_.server_port;
       dst_port = client_port;
     } else {
-      src = targets_.client_addr;
-      dst = targets_.server_addr;
+      out.src = targets_.client_addr;
+      out.dst = targets_.server_addr;
       src_port = client_port;
       dst_port = targets_.server_port;
     }
   }
-  if (!fields.contains("src_port")) fields["src_port"] = src_port;
-  if (!fields.contains("dst_port")) fields["dst_port"] = dst_port;
-  if (armed.strat.action == AttackAction::kHitSeqWindow) {
-    fields[spec.seq_field] = spec.seq_start + sweep_index * spec.seq_stride;
-  }
-
-  sim::Packet forged;
-  forged.src = src;
-  forged.dst = dst;
-  forged.protocol = targets_.protocol;
-  forged.bytes = codec_->build(spec.packet_type, fields);
-  ++stats_.injected;
   // Forged server->client packets for the *proxied* connection go straight
   // up the local stack; everything else leaves toward the network.
-  bool local_delivery = !spec.target_competing && spec.spoof_toward_client;
-  node_.inject_packet(std::move(forged),
-                      local_delivery ? sim::FilterDirection::kIngress
-                                     : sim::FilterDirection::kEgress);
+  out.direction = !spec.target_competing && spec.spoof_toward_client
+                      ? sim::FilterDirection::kIngress
+                      : sim::FilterDirection::kEgress;
+
+  std::map<std::string, std::uint64_t> fields = spec.fields;
+  if (!fields.contains("src_port")) fields["src_port"] = src_port;
+  if (!fields.contains("dst_port")) fields["dst_port"] = dst_port;
+  if (s.action == AttackAction::kHitSeqWindow) fields[spec.seq_field] = spec.seq_start;
+  out.bytes = codec_->build(spec.packet_type, fields);  // throws on unknown names
+  if (s.action == AttackAction::kHitSeqWindow)
+    out.sweep = codec_->format().compiled(spec.seq_field);  // known: build() checked it
+  return out;
 }
 
 void AttackProxy::restore(const Snapshot& snap) {

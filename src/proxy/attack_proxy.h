@@ -128,6 +128,19 @@ class AttackProxy : public sim::PacketFilter, private AttackProxyState {
   void export_metrics(obs::MetricsRegistry& registry) const;
 
  private:
+  /// An inject/hitseqwindow strategy's forged packet, compiled once:
+  /// Codec::build over the strategy's fields, the connection's ports and
+  /// (for a sweep) `seq_start`. Each injection copies `bytes` into a pooled
+  /// buffer and writes only the sweep value through `sweep`.
+  struct Forged {
+    Bytes bytes;
+    const packet::CompiledField* sweep = nullptr;  ///< hitseqwindow only
+    std::uint16_t client_port = 0;  ///< learned client port baked into `bytes`
+    sim::Address src = 0;
+    sim::Address dst = 0;
+    sim::FilterDirection direction = sim::FilterDirection::kEgress;
+  };
+
   struct Armed {
     strategy::Strategy strat;
     bool injection_fired = false;
@@ -139,6 +152,8 @@ class AttackProxy : public sim::PacketFilter, private AttackProxyState {
     /// Compiled accessor for the lie target field; nullptr when the strategy
     /// is not a lie or names an unknown field.
     const packet::CompiledField* lie_field = nullptr;
+    /// Injection template, compiled at first fire (see compile_forged).
+    std::optional<Forged> forged;
     /// Invalidated when the strategy set is replaced, so injection events
     /// already in the scheduler become no-ops instead of dangling.
     std::shared_ptr<bool> alive = std::make_shared<bool>(true);
@@ -156,7 +171,8 @@ class AttackProxy : public sim::PacketFilter, private AttackProxyState {
   void arm(Armed& armed);
   void maybe_fire_injections();
   void fire_injection(Armed& armed);
-  void inject_one(const Armed& armed, std::uint64_t sweep_index);
+  void inject_one(Armed& armed, std::uint64_t sweep_index);
+  Forged compile_forged(const strategy::Strategy& s, std::uint16_t client_port) const;
 
   sim::Node& node_;
   const packet::Codec* codec_;

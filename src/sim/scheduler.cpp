@@ -92,10 +92,9 @@ void Scheduler::wheel_insert(const QueueEntry& entry) {
 }
 
 void Scheduler::ready_insert(const QueueEntry& entry) {
-  // Sorted insert into the undrained tail. The tail only holds the rest of
-  // the current L0 span (a couple hundred microseconds of events), so the
-  // upper_bound plus memmove touch a handful of 24-byte records; a callback
-  // scheduling at the far end of the span still appends in O(1).
+  // Sorted insert into the undrained tail. ready_ only ever holds the
+  // cursor's tick, so only a schedule for that same tick (or an earlier one,
+  // after run_until stopped short of the cursor) lands here.
   auto it = std::upper_bound(ready_.begin() + static_cast<std::ptrdiff_t>(ready_pos_),
                              ready_.end(), entry);
   ready_.insert(it, entry);
@@ -105,26 +104,20 @@ bool Scheduler::wheel_refill() {
   ready_.clear();  // caller guarantees the previous run was fully drained
   ready_pos_ = 0;
   for (;;) {
-    // Drain every occupied level-0 bucket ahead of the cursor into ready_ in
-    // one pass and advance the cursor to the end of the span. Every level>=1
-    // entry differs from the cursor in a higher byte, so the whole L0 span is
-    // the global minimum prefix of the queue — sorting the batch by (at, seq)
-    // realizes exactly the order a tick-at-a-time drain would have. Batching
-    // matters: trial workloads average one event per ~100 ticks, so a
-    // tick-at-a-time refill pays a full scan per pop.
+    // Move the next occupied level-0 bucket (one tick) into ready_ and park
+    // the cursor on that tick. Every other entry lies in a later L0 bucket or
+    // differs from the cursor in a higher byte, so the bucket is the global
+    // minimum prefix of the queue. With the cursor on the tick, a callback
+    // scheduling for any later tick pushes onto a bucket in O(1); only
+    // same-tick schedules take ready_insert.
     int idx = scan_occupancy(0, (cur_tick_ & (kWheelSlots - 1)) + 1);
-    while (idx >= 0) {
+    if (idx >= 0) {
       std::vector<QueueEntry>& bucket = buckets_[0][static_cast<std::size_t>(idx)];
       occupancy_[0][idx >> 6] &= ~(1ULL << (idx & 63));
-      ready_.insert(ready_.end(), bucket.begin(), bucket.end());
-      bucket.clear();
-      idx = scan_occupancy(0, static_cast<std::size_t>(idx) + 1);
-    }
-    // The span is now fully in ready_; parking the cursor on its last tick
-    // routes same-span schedules from draining callbacks into ready_ (sorted
-    // insert) instead of behind the cursor where they would be missed.
-    cur_tick_ |= kWheelSlots - 1;
-    if (!ready_.empty()) {
+      ready_.swap(bucket);  // the bucket keeps ready_'s empty buffer
+      cur_tick_ = (cur_tick_ & ~static_cast<std::uint64_t>(kWheelSlots - 1)) |
+                  static_cast<std::uint64_t>(idx);
+      // A bucket is in push order, not (at, seq) order.
       std::sort(ready_.begin(), ready_.end());
       return true;
     }
@@ -138,12 +131,13 @@ bool Scheduler::wheel_refill() {
         break;
       }
     }
-    if (advanced) continue;  // re-scan L0: the cascade refined one span
-    if (!far_.empty()) {
+    if (!advanced) {
+      if (far_.empty()) return false;  // queue genuinely empty
       wheel_reanchor_to_far();
-      continue;
     }
-    return false;  // queue genuinely empty
+    // A cascade or re-anchor puts the entries on the new cursor tick straight
+    // into ready_ (sorted); otherwise re-scan L0, which it refined.
+    if (!ready_.empty()) return true;
   }
 }
 

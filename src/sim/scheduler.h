@@ -11,13 +11,16 @@
 // ready queue is a hierarchical timing wheel of plain {time, seq, slot}
 // records — the common schedule/fire/cancel cycle allocates nothing once
 // the slab and wheel buckets are warm, and costs O(1) instead of a binary
-// heap's O(log n). The wheel is the only engine; scheduler_engine_test
-// replays random scripts against a small binary-heap reference model kept
-// in the test, and both must execute every script in the exact same order
-// (see DESIGN.md, "Event engine"). The scheduler also owns the
-// scenario's packet BufferPool so every component on the data path (links,
-// nodes, transport stacks) can recycle wire buffers without a second
-// ownership channel. reset() rewinds the scheduler to its initial state
+// heap's O(log n): the wheel drains one 16 µs tick at a time, so scheduling
+// for a later tick is a bucket push and only a schedule for the tick being
+// drained takes a (short) ordered insert. The wheel is the only engine;
+// scheduler_engine_test replays random and dense scripts against a small
+// binary-heap reference model kept in the test, and both must execute every
+// script in the exact same order (see DESIGN.md, "Event engine"). The
+// scheduler also owns the scenario's packet BufferPool so every component
+// on the data path (links, nodes, transport stacks, the attack proxy's
+// forged packets) can recycle wire buffers without a second ownership
+// channel. reset() rewinds the scheduler to its initial state
 // while keeping slab and buffer capacity, which is what lets a campaign
 // executor's ScenarioArena reuse one scheduler across thousands of strategy
 // trials.
@@ -296,11 +299,14 @@ class Scheduler {
   // equal the cursor's and its level byte is strictly greater, every bucket
   // insertion lands strictly ahead of the cursor at its level — buckets
   // never wrap, and a forward bitmap scan per level is a complete search for
-  // the next pending tick. Entries due at or before the cursor go straight
-  // into `ready_`, kept sorted by (at, seq); entries differing above the top
-  // level (≈19 h ahead, e.g. TimePoint::max() sentinels) wait in `far_`
-  // until the wheels drain and the cursor re-anchors. See DESIGN.md, "Event
-  // engine".
+  // the next pending tick. The pop side drains one tick at a time: a refill
+  // moves the next occupied L0 bucket into `ready_` and parks the cursor on
+  // that tick. Entries due at or before the cursor go straight into
+  // `ready_`, kept sorted by (at, seq) — so only same-tick schedules pay an
+  // ordered insert, and a schedule for any later tick is a bucket push.
+  // Entries differing above the top level (≈19 h ahead, e.g.
+  // TimePoint::max() sentinels) wait in `far_` until the wheels drain and
+  // the cursor re-anchors. See DESIGN.md, "Event engine".
   static constexpr int kTickShift = 14;   ///< 2^14 ns ≈ 16 µs per tick
   static constexpr int kWheelLevels = 4;  ///< 256^4 ticks ≈ 19 h coverage
   static constexpr std::size_t kWheelSlots = 256;  ///< buckets per level
@@ -310,8 +316,8 @@ class Scheduler {
   }
 
   void queue_push(const QueueEntry& entry);
-  /// The earliest pending entry, or nullptr when the queue is empty. Wheel:
-  /// refills ready_ from the buckets as needed (amortized O(1)).
+  /// The earliest pending entry, or nullptr when the queue is empty; refills
+  /// ready_ with the next occupied tick as needed (amortized O(1)).
   const QueueEntry* queue_front();
   void queue_pop_front();
   void queue_clear();
@@ -332,7 +338,7 @@ class Scheduler {
 
   std::uint64_t queued_ = 0;  ///< entries pending across ready/buckets/far
 
-  std::vector<QueueEntry> ready_;  ///< due entries, sorted by (at, seq)
+  std::vector<QueueEntry> ready_;  ///< due entries (the cursor's tick), sorted by (at, seq)
   std::size_t ready_pos_ = 0;     ///< drain cursor into ready_
   std::uint64_t cur_tick_ = 0;    ///< wheel cursor (tick units)
   std::array<std::array<std::vector<QueueEntry>, kWheelSlots>, kWheelLevels> buckets_;

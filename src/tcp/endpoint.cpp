@@ -98,9 +98,13 @@ void TcpEndpoint::accept(Seq remote_isn, bool peer_sack_permitted) {
 }
 
 void TcpEndpoint::send(Bytes data) {
+  if (accepts_data()) send(std::make_shared<const Bytes>(std::move(data)));
+}
+
+void TcpEndpoint::send(std::shared_ptr<const Bytes> chunk) {
   if (!accepts_data()) return;
-  queued_total_ += data.size();
-  send_buf_.append(std::move(data));
+  queued_total_ += chunk->size();
+  send_buf_.append(std::move(chunk));
   push_points_.push_back(queued_total_);  // PSH at the end of this write
   if (state_ == TcpState::kEstablished || state_ == TcpState::kCloseWait) try_send();
 }
@@ -458,7 +462,8 @@ void TcpEndpoint::process_payload(const Segment& s) {
     if (out_of_order_bytes_ + s.payload.size() <= config_.recv_buffer &&
         !out_of_order_.contains(s.seq)) {
       out_of_order_bytes_ += s.payload.size();
-      out_of_order_[s.seq] = s.payload;
+      // The one owning copy of a payload: it outlives the wire buffer.
+      out_of_order_[s.seq] = Bytes(s.payload.begin(), s.payload.end());
       last_ooo_start_ = s.seq;
       ++stats_.ooo_buffered;
     } else {
@@ -468,20 +473,12 @@ void TcpEndpoint::process_payload(const Segment& s) {
     return;
   }
 
-  // In order (trimming any already-received prefix). The exact-fit case —
-  // nearly every data segment of a healthy transfer — delivers the parsed
-  // payload as-is instead of re-copying ~MSS per packet.
-  std::size_t skip = rcv_nxt_ - s.seq;
-  if (skip == 0) {
-    rcv_nxt_ += static_cast<std::uint32_t>(s.payload.size());
-    stats_.bytes_delivered += s.payload.size();
-    if (callbacks_.on_data) callbacks_.on_data(s.payload);
-  } else {
-    Bytes fresh(s.payload.begin() + static_cast<std::ptrdiff_t>(skip), s.payload.end());
-    rcv_nxt_ += static_cast<std::uint32_t>(fresh.size());
-    stats_.bytes_delivered += fresh.size();
-    if (callbacks_.on_data) callbacks_.on_data(fresh);
-  }
+  // In order (trimming any already-received prefix): the application sees
+  // a view into the wire buffer, no copy.
+  ByteView fresh = s.payload.subspan(rcv_nxt_ - s.seq);
+  rcv_nxt_ += static_cast<std::uint32_t>(fresh.size());
+  stats_.bytes_delivered += fresh.size();
+  if (callbacks_.on_data) callbacks_.on_data(fresh);
 
   // Drain now-contiguous buffered segments.
   auto it = out_of_order_.begin();
@@ -489,8 +486,7 @@ void TcpEndpoint::process_payload(const Segment& s) {
     if (seq_gt(it->first, rcv_nxt_)) break;
     Seq end = it->first + static_cast<std::uint32_t>(it->second.size());
     if (seq_gt(end, rcv_nxt_)) {
-      std::size_t offset = rcv_nxt_ - it->first;
-      Bytes chunk(it->second.begin() + static_cast<std::ptrdiff_t>(offset), it->second.end());
+      ByteView chunk = ByteView(it->second).subspan(rcv_nxt_ - it->first);
       rcv_nxt_ = end;
       stats_.bytes_delivered += chunk.size();
       if (callbacks_.on_data) callbacks_.on_data(chunk);
@@ -535,8 +531,8 @@ void TcpEndpoint::process_fin(const Segment& s) {
 
 // ---------------------------------------------------------------- output
 
-void TcpEndpoint::emit(std::uint8_t flags, Seq seq, Bytes payload, bool dsack,
-                       const SackBlock* dsack_block) {
+void TcpEndpoint::emit(std::uint8_t flags, Seq seq, std::size_t data_offset,
+                       std::size_t data_len, bool dsack, const SackBlock* dsack_block) {
   Segment s;
   s.src_port = config_.local_port;
   s.dst_port = config_.remote_port;
@@ -551,14 +547,14 @@ void TcpEndpoint::emit(std::uint8_t flags, Seq seq, Bytes payload, bool dsack,
     stats_.sack_blocks_sent += s.sack_blocks.size();
   }
   s.window = advertised_window();
-  stats_.bytes_sent_wire += payload.size();
-  s.payload = std::move(payload);
+  stats_.bytes_sent_wire += data_len;
 
   sim::Packet p;
   p.dst = config_.remote_addr;
   p.protocol = sim::kProtoTcp;
   p.bytes = node_.scheduler().buffer_pool().acquire();
-  serialize_into(s, p.bytes);
+  serialize_into(s, send_buf_, data_offset, data_len, p.bytes);
+  s.payload = ByteView(p.bytes).last(data_len);  // for the trace line
   ++stats_.segments_sent;
   SNAKE_TRACE << node_.name() << " tcp tx " << s.summary();
   node_.send_packet(std::move(p));
@@ -566,7 +562,7 @@ void TcpEndpoint::emit(std::uint8_t flags, Seq seq, Bytes payload, bool dsack,
 
 void TcpEndpoint::send_ack(bool dsack, const SackBlock* dsack_block) {
   if (dsack) ++stats_.dsack_acks_sent;
-  emit(kTcpAck, snd_nxt_, {}, dsack, dsack_block);
+  emit(kTcpAck, snd_nxt_, 0, 0, dsack, dsack_block);
 }
 
 std::vector<SackBlock> TcpEndpoint::receiver_sack_blocks(const SackBlock* dsack_block) const {
@@ -657,13 +653,12 @@ void TcpEndpoint::retransmit_next_hole() {
   std::size_t len = std::min({config_.mss, static_cast<std::size_t>(hole_end - at),
                               send_buf_.size() - offset});
   if (len == 0) return;
-  Bytes chunk = send_buf_.slice(offset, len);
   ++stats_.retransmissions;
   ++stats_.sack_retransmits;
   timed_seq_.reset();
   std::uint64_t start_off = acked_total_ + offset;
   emit(covers_push_point(start_off, start_off + len) ? (kTcpPsh | kTcpAck) : kTcpAck, at,
-       std::move(chunk));
+       offset, len);
   sack_retx_next_ = at + static_cast<std::uint32_t>(len);
 }
 
@@ -701,14 +696,13 @@ void TcpEndpoint::try_send() {
     // for the window to open a full MSS or for everything to be acked.
     if (can_send < config_.mss && flight_bytes() > 0 && unsent_bytes() > can_send) break;
     std::size_t offset = snd_nxt_ - snd_una_;
-    Bytes chunk = send_buf_.slice(offset, can_send);
     start_rtt_sample(snd_nxt_ + static_cast<std::uint32_t>(can_send));
     // PSH marks the end of an application write (real stacks do the same),
     // so bulk data is mostly plain ACK segments and PSH+ACK "occur[s] only
     // occasionally in the data stream" as the paper observes.
     std::uint64_t start = acked_total_ + offset;
     bool boundary = covers_push_point(start, start + can_send);
-    emit(boundary ? (kTcpPsh | kTcpAck) : kTcpAck, snd_nxt_, std::move(chunk));
+    emit(boundary ? (kTcpPsh | kTcpAck) : kTcpAck, snd_nxt_, offset, can_send);
     snd_nxt_ += static_cast<std::uint32_t>(can_send);
     if (seq_gt(snd_nxt_, snd_max_)) snd_max_ = snd_nxt_;
   }
@@ -807,7 +801,7 @@ void TcpEndpoint::on_retransmit_timeout() {
       } else if (unsent_bytes() > 0 && snd_wnd_ == 0) {
         // Zero-window probe: one byte past the edge.
         std::size_t offset = snd_nxt_ - snd_una_;
-        emit(kTcpPsh | kTcpAck, snd_nxt_, send_buf_.slice(offset, 1));
+        emit(kTcpPsh | kTcpAck, snd_nxt_, offset, 1);
         snd_nxt_ += 1;
         if (seq_gt(snd_nxt_, snd_max_)) snd_max_ = snd_nxt_;
       }
@@ -829,13 +823,12 @@ void TcpEndpoint::retransmit_one() {
       std::uint32_t hole = sacked_.begin()->first - snd_una_;
       if (hole > 0) len = std::min<std::size_t>(len, hole);
     }
-    Bytes chunk = send_buf_.slice(0, len);
     ++stats_.retransmissions;
     timed_seq_.reset();
     last_retx_end_ = snd_una_ + static_cast<std::uint32_t>(len);
     if (sack_enabled_) sack_retx_next_ = last_retx_end_;
     emit(covers_push_point(acked_total_, acked_total_ + len) ? (kTcpPsh | kTcpAck) : kTcpAck,
-         snd_una_, std::move(chunk));
+         snd_una_, 0, len);
   } else if (fin_sent_ && seq_leq(snd_una_, fin_seq_)) {
     ++stats_.retransmissions;
     last_retx_end_ = fin_seq_ + 1;

@@ -11,6 +11,7 @@
 #include <deque>
 #include <functional>
 #include <map>
+#include <memory>
 #include <optional>
 #include <string>
 
@@ -45,7 +46,8 @@ const char* to_string(TcpState state);
 /// Application-facing callbacks. All optional.
 struct TcpCallbacks {
   std::function<void()> on_established;
-  std::function<void(const Bytes&)> on_data;
+  /// In-order payload; the view is valid only for the call.
+  std::function<void(ByteView)> on_data;
   std::function<void()> on_remote_close;  ///< peer FIN processed
   std::function<void()> on_reset;         ///< connection aborted (RST or give-up)
   std::function<void()> on_closed;        ///< socket fully released
@@ -189,6 +191,9 @@ class TcpEndpoint : private TcpEndpointState {
   /// a caller that moves its buffer in hands it over without a copy. Dropped
   /// when the socket no longer accepts data (see accepts_data()).
   void send(Bytes data);
+  /// Same, for an immutable chunk the caller shares (the bulk server hands
+  /// every socket the same response chunk): queued without a copy.
+  void send(std::shared_ptr<const Bytes> chunk);
 
   /// Graceful close: FIN after queued data drains.
   void close();
@@ -259,10 +264,11 @@ class TcpEndpoint : private TcpEndpointState {
   void retransmit_next_hole();
 
   // Output.
-  /// Takes the payload by value so data segments move their bytes straight
-  /// into the Segment instead of re-copying ~MSS per packet on the hot path.
-  void emit(std::uint8_t flags, Seq seq, Bytes payload = {}, bool dsack = false,
-            const SackBlock* dsack_block = nullptr);
+  /// Sends one segment. A data segment carries send_buf_ bytes
+  /// [data_offset, data_offset + data_len), serialized straight from the
+  /// buffer's chunks into the pooled wire buffer.
+  void emit(std::uint8_t flags, Seq seq, std::size_t data_offset = 0, std::size_t data_len = 0,
+            bool dsack = false, const SackBlock* dsack_block = nullptr);
   void send_ack(bool dsack = false, const SackBlock* dsack_block = nullptr);
   void send_rst(Seq seq, bool with_ack = false);
   void try_send();

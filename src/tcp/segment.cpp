@@ -53,6 +53,47 @@ bool parse_options(const Bytes& raw, std::size_t header_bytes, Segment& s) {
   }
   return true;
 }
+
+/// Writes the fixed header and options for a segment carrying `payload_len`
+/// payload bytes into `out` (cleared first), checksum zeroed.
+void write_header(const Segment& segment, std::size_t payload_len, Bytes& out) {
+  std::size_t options = segment.option_bytes();
+  std::size_t header_bytes = kFixedHeaderBytes + options;
+  out.clear();
+  out.reserve(header_bytes + payload_len);
+  ByteWriter w(out);
+  w.u16(segment.src_port);
+  w.u16(segment.dst_port);
+  w.u32(segment.seq);
+  w.u32(segment.ack);
+  std::size_t blocks = std::min(segment.sack_blocks.size(), Segment::kMaxSackBlocks);
+  std::uint8_t reserved = 0;
+  if (segment.dsack) reserved |= packet::kTcpDsackReservedBit;
+  if (blocks > 0) reserved |= packet::kTcpSackReservedBit;
+  std::uint16_t offset_reserved_flags =
+      static_cast<std::uint16_t>(((header_bytes / 4) << 12) | (reserved << 6) |
+                                 (segment.flags & 0x3F));
+  w.u16(offset_reserved_flags);
+  w.u16(segment.window);
+  w.u16(0);  // checksum placeholder
+  w.u16(segment.urgent_ptr);
+  if (segment.sack_permitted) {
+    w.u8(packet::kTcpOptNop);
+    w.u8(packet::kTcpOptNop);
+    w.u8(packet::kTcpOptSackPermitted);
+    w.u8(2);
+  }
+  if (blocks > 0) {
+    w.u8(packet::kTcpOptNop);
+    w.u8(packet::kTcpOptNop);
+    w.u8(packet::kTcpOptSack);
+    w.u8(static_cast<std::uint8_t>(2 + 8 * blocks));
+    for (std::size_t i = 0; i < blocks; ++i) {
+      w.u32(segment.sack_blocks[i].start);
+      w.u32(segment.sack_blocks[i].end);
+    }
+  }
+}
 }  // namespace
 
 std::uint32_t Segment::seq_len() const {
@@ -97,43 +138,15 @@ Bytes serialize(const Segment& segment) {
 }
 
 void serialize_into(const Segment& segment, Bytes& out) {
-  std::size_t options = segment.option_bytes();
-  std::size_t header_bytes = kFixedHeaderBytes + options;
-  out.clear();
-  out.reserve(header_bytes + segment.payload.size());
-  ByteWriter w(out);
-  w.u16(segment.src_port);
-  w.u16(segment.dst_port);
-  w.u32(segment.seq);
-  w.u32(segment.ack);
-  std::size_t blocks = std::min(segment.sack_blocks.size(), Segment::kMaxSackBlocks);
-  std::uint8_t reserved = 0;
-  if (segment.dsack) reserved |= packet::kTcpDsackReservedBit;
-  if (blocks > 0) reserved |= packet::kTcpSackReservedBit;
-  std::uint16_t offset_reserved_flags =
-      static_cast<std::uint16_t>(((header_bytes / 4) << 12) | (reserved << 6) |
-                                 (segment.flags & 0x3F));
-  w.u16(offset_reserved_flags);
-  w.u16(segment.window);
-  w.u16(0);  // checksum placeholder
-  w.u16(segment.urgent_ptr);
-  if (segment.sack_permitted) {
-    w.u8(packet::kTcpOptNop);
-    w.u8(packet::kTcpOptNop);
-    w.u8(packet::kTcpOptSackPermitted);
-    w.u8(2);
-  }
-  if (blocks > 0) {
-    w.u8(packet::kTcpOptNop);
-    w.u8(packet::kTcpOptNop);
-    w.u8(packet::kTcpOptSack);
-    w.u8(static_cast<std::uint8_t>(2 + 8 * blocks));
-    for (std::size_t i = 0; i < blocks; ++i) {
-      w.u32(segment.sack_blocks[i].start);
-      w.u32(segment.sack_blocks[i].end);
-    }
-  }
-  w.raw(segment.payload);
+  write_header(segment, segment.payload.size(), out);
+  ByteWriter(out).raw(segment.payload);
+  fill_embedded_checksum(out, kChecksumOffset);
+}
+
+void serialize_into(const Segment& segment, const SendBuffer& data, std::size_t offset,
+                    std::size_t len, Bytes& out) {
+  write_header(segment, len, out);
+  data.copy_to(offset, len, out);
   fill_embedded_checksum(out, kChecksumOffset);
 }
 
@@ -155,7 +168,7 @@ std::optional<Segment> parse_segment(const Bytes& raw) {
   s.urgent_ptr = r.u16();
   if (header_bytes < kFixedHeaderBytes || header_bytes > raw.size()) return std::nullopt;
   if (!parse_options(raw, header_bytes, s)) return std::nullopt;
-  s.payload = Bytes(raw.begin() + static_cast<std::ptrdiff_t>(header_bytes), raw.end());
+  s.payload = ByteView(raw).subspan(header_bytes);
   return s;
 }
 

@@ -9,6 +9,11 @@
 // fixed-offset accessors are unaffected because every DSL field lives in the
 // 20-byte fixed part. The sack_flag/dsack_flag reserved bits mirror the
 // option content so per-packet classification stays option-blind.
+//
+// A Segment never owns its payload: parse_segment points it into the wire
+// buffer it parsed, and the sender serializes data straight from its
+// SendBuffer chunks into the pooled wire buffer. Only the receiver's
+// out-of-order queue copies payload bytes, because it outlives the packet.
 #pragma once
 
 #include <cstdint>
@@ -16,6 +21,7 @@
 #include <string>
 #include <vector>
 
+#include "tcp/send_buffer.h"
 #include "tcp/seq.h"
 #include "util/bytes.h"
 
@@ -56,7 +62,8 @@ struct Segment {
   /// At most kMaxSackBlocks survive serialization.
   std::vector<SackBlock> sack_blocks;
 
-  Bytes payload;
+  /// Non-owning: valid while the wire buffer (or chunk) it views lives.
+  ByteView payload;
 
   static constexpr std::size_t kMaxSackBlocks = 4;
 
@@ -76,14 +83,23 @@ struct Segment {
 /// a valid checksum; data_offset accounts for the option bytes.
 Bytes serialize(const Segment& segment);
 
-/// Serializes into `out` (cleared first), reusing its capacity — the
-/// endpoint hot path feeds this recycled buffers from the scenario's
-/// sim::BufferPool so steady-state sends allocate nothing.
+/// Serializes into `out` (cleared first), reusing its capacity — hot paths
+/// feed this recycled buffers from the scenario's sim::BufferPool so
+/// steady-state sends allocate nothing. `segment.payload` must not view
+/// `out` itself.
 void serialize_into(const Segment& segment, Bytes& out);
+
+/// Same, but the payload is bytes [offset, offset + len) of `data`, copied
+/// straight from its chunks into `out`; `segment.payload` is ignored. The
+/// endpoint's data path: no intermediate payload buffer.
+void serialize_into(const Segment& segment, const SendBuffer& data, std::size_t offset,
+                    std::size_t len, Bytes& out);
 
 /// Parses wire bytes; returns std::nullopt for truncated input, a bad
 /// checksum, or malformed options (the receiving stack drops such packets
-/// silently).
+/// silently). The payload views `raw`, which must outlive the Segment — so
+/// a temporary buffer is refused at compile time.
 std::optional<Segment> parse_segment(const Bytes& raw);
+std::optional<Segment> parse_segment(Bytes&& raw) = delete;
 
 }  // namespace snake::tcp

@@ -7,8 +7,13 @@ namespace snake::tcp {
 
 void SendBuffer::append(Bytes data) {
   if (data.empty()) return;
-  size_ += data.size();
-  chunks_.push_back(std::make_shared<const Bytes>(std::move(data)));
+  append(std::make_shared<const Bytes>(std::move(data)));
+}
+
+void SendBuffer::append(std::shared_ptr<const Bytes> chunk) {
+  if (chunk == nullptr || chunk->empty()) return;
+  size_ += chunk->size();
+  chunks_.push_back(std::move(chunk));
 }
 
 void SendBuffer::consume(std::size_t n) {
@@ -24,23 +29,21 @@ void SendBuffer::consume(std::size_t n) {
   head_ = pos;
 }
 
-Bytes SendBuffer::slice(std::size_t offset, std::size_t len) const {
+void SendBuffer::copy_to(std::size_t offset, std::size_t len, Bytes& out) const {
   assert(offset + len <= size_);
-  Bytes out;
-  out.reserve(len);
   std::size_t pos = head_ + offset;
-  for (auto it = chunks_.begin(); out.size() < len; ++it) {
+  for (auto it = chunks_.begin(); len > 0; ++it) {
     const Bytes& chunk = **it;
     if (pos >= chunk.size()) {
       pos -= chunk.size();
       continue;
     }
-    std::size_t n = std::min(chunk.size() - pos, len - out.size());
+    std::size_t n = std::min(chunk.size() - pos, len);
     out.insert(out.end(), chunk.begin() + static_cast<std::ptrdiff_t>(pos),
                chunk.begin() + static_cast<std::ptrdiff_t>(pos + n));
+    len -= n;
     pos = 0;
   }
-  return out;
 }
 
 }  // namespace snake::tcp

@@ -14,6 +14,11 @@ namespace snake::testing {
 
 namespace {
 
+/// The match-any packet type. Assigned as a std::string, not a literal:
+/// GCC 12 reports a false -Wrestrict overlap for string = "*" once the
+/// assignment is inlined into these functions.
+const std::string kAnyPacketType = "*";
+
 template <typename T>
 const T& pick(snake::Rng& rng, const std::vector<T>& options) {
   return options[rng.uniform(0, options.size() - 1)];
@@ -41,7 +46,7 @@ strategy::Strategy random_attack(snake::Rng& rng, const packet::HeaderFormat& fo
                                 : strategy::TrafficDirection::kServerToClient;
   s.target_state = pick(rng, machine.states());
   if (rng.chance(0.3)) {
-    s.packet_type = "*";
+    s.packet_type = kAnyPacketType;
   } else {
     std::vector<std::string> types;
     for (const auto& t : format.packet_types()) types.push_back(t.name);
@@ -160,7 +165,8 @@ std::vector<strategy::Strategy> simplify_attack(const strategy::Strategy& attack
     mutate(v);
     variants.push_back(std::move(v));
   };
-  if (attack.packet_type != "*") with([](strategy::Strategy& v) { v.packet_type = "*"; });
+  if (attack.packet_type != kAnyPacketType)
+    with([](strategy::Strategy& v) { v.packet_type = kAnyPacketType; });
   switch (attack.action) {
     case AttackAction::kDuplicate:
       if (attack.duplicate_count > 1)

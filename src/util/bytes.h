@@ -6,6 +6,7 @@
 
 #include <cstddef>
 #include <cstdint>
+#include <span>
 #include <stdexcept>
 #include <string>
 #include <vector>
@@ -13,6 +14,10 @@
 namespace snake {
 
 using Bytes = std::vector<std::uint8_t>;
+
+/// Read-only view of bytes owned elsewhere — e.g. a TCP segment's payload
+/// inside the packet's wire buffer. Valid only while that owner lives.
+using ByteView = std::span<const std::uint8_t>;
 
 /// Appends big-endian integers to a growing buffer.
 class ByteWriter {
@@ -24,7 +29,7 @@ class ByteWriter {
   void u32(std::uint32_t v);
   void u48(std::uint64_t v);  // low 48 bits, used by DCCP sequence numbers
   void u64(std::uint64_t v);
-  void raw(const Bytes& data);
+  void raw(ByteView data);
   void zeros(std::size_t count);
 
   std::size_t size() const { return out_.size(); }

@@ -89,6 +89,64 @@ TEST(BulkHttp, PeerCloseDoesNotGenerateTheRestOfTheResponse) {
   EXPECT_EQ(w.tcp_b.open_sockets(), 0u);
 }
 
+/// Checks every delivered byte against the bulk response pattern,
+/// (q * 31) & 0xFF at stream offset q. A plain value, so a copy is a
+/// snapshot.
+struct PatternCheck {
+  std::uint64_t offset = 0;
+  std::uint64_t mismatches = 0;
+  void take(ByteView data) {
+    for (std::uint8_t b : data) mismatches += b != static_cast<std::uint8_t>(offset++ * 31);
+  }
+};
+
+TEST(BulkHttp, ClientGetsThePatternAcrossChunksAndAfterARestore) {
+  // Five full 64 KiB chunks — the one shared chunk, five times — plus a
+  // tail built for its own offset. MSS-sized segments straddle every chunk
+  // edge. A mid-transfer snapshot, restored after the run finished, must
+  // replay the rest of the stream byte for byte.
+  constexpr std::uint64_t kTotal = 5 * 64 * 1024 + 777;
+  World w;
+  BulkHttpServer server(w.tcp_b, 80, kTotal);
+  PatternCheck check;
+  tcp::TcpEndpoint* client = nullptr;
+  tcp::TcpCallbacks cb;
+  cb.on_data = [&check](ByteView data) { check.take(data); };
+  cb.on_remote_close = [&client] { client->close(); };
+  client = &w.tcp_a.connect(2, 80, std::move(cb));
+  while (check.offset < 100000) w.run_for(0.005);
+  ASSERT_LT(check.offset, 4 * 64 * 1024u);  // mid-transfer, chunks still queued
+
+  sim::Scheduler::Snapshot sched;
+  ASSERT_TRUE(w.net.scheduler().capture(sched));
+  std::vector<sim::Link::Snapshot> links;
+  for (const auto& link : w.net.links()) links.push_back(link->capture());
+  std::vector<std::uint64_t> packet_ids;
+  for (const auto& node : w.net.nodes()) packet_ids.push_back(node->next_packet_id());
+  const tcp::TcpStack::Snapshot client_stack = w.tcp_a.capture();
+  const tcp::TcpStack::Snapshot server_stack = w.tcp_b.capture();
+  const BulkHttpServer::Snapshot server_app = server.capture();
+  const PatternCheck at_capture = check;
+
+  for (int run = 0; run < 2; ++run) {
+    SCOPED_TRACE(run == 0 ? "live run" : "restored run");
+    if (run == 1) {
+      w.net.scheduler().restore(sched);
+      for (std::size_t i = 0; i < links.size(); ++i) w.net.links()[i]->restore(links[i]);
+      for (std::size_t i = 0; i < packet_ids.size(); ++i)
+        w.net.nodes()[i]->set_next_packet_id(packet_ids[i]);
+      w.tcp_a.restore(client_stack);
+      w.tcp_b.restore(server_stack);
+      server.restore(server_app);
+      check = at_capture;
+    }
+    w.run_for(30.0);
+    EXPECT_EQ(check.offset, kTotal);
+    EXPECT_EQ(check.mismatches, 0u);
+    EXPECT_EQ(w.tcp_b.open_sockets(), 0u);
+  }
+}
+
 TEST(IperfDccp, GoodputTracksOfferBelowCapacity) {
   World w;
   DccpIperfSink sink(w.dccp_b, 5001);

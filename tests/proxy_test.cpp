@@ -2,6 +2,11 @@
 // all eight basic attacks, and state-triggered off-path injection.
 #include <gtest/gtest.h>
 
+#include <map>
+#include <stdexcept>
+#include <string>
+
+#include "packet/dccp_format.h"
 #include "packet/tcp_format.h"
 #include "proxy/attack_proxy.h"
 #include "sim/network.h"
@@ -18,6 +23,7 @@ using packet::kTcpPsh;
 using packet::kTcpRst;
 using packet::kTcpSyn;
 using strategy::AttackAction;
+using strategy::MatchMode;
 using strategy::Strategy;
 using strategy::TrafficDirection;
 
@@ -366,6 +372,179 @@ TEST_F(ProxyHarness, HitSeqWindowSweepsSequenceSpace) {
   EXPECT_EQ(codec.get(client_rx_[1].bytes, "seq"), 1000u);
   EXPECT_EQ(codec.get(client_rx_[2].bytes, "seq"), 1000u + 65535u);
   EXPECT_EQ(codec.get(client_rx_[100].bytes, "seq"), (1000u + 99u * 65535u) & 0xFFFFFFFFu);
+}
+
+// ------------------------------------------------ compiled forged packets
+
+/// A two-node world whose proxy speaks one protocol and records every
+/// packet it forges (the trace's kInject entries), with the addressing of
+/// the harness above: client 1:40000, server 2:80, competing connection
+/// 1:40001 <-> 2:81.
+struct ForgeWorld {
+  explicit ForgeWorld(bool dccp)
+      : codec(dccp ? packet::dccp_codec() : packet::tcp_codec()),
+        protocol(dccp ? sim::kProtoDccp : sim::kProtoTcp),
+        client(net.add_node(1, "client")),
+        server(net.add_node(2, "server")),
+        proxy(client, codec,
+              dccp ? statemachine::dccp_state_machine() : statemachine::tcp_state_machine(),
+              targets(protocol), snake::Rng(7)) {
+    auto [cs, sc] = net.connect(client, server, sim::LinkConfig{});
+    client.set_default_route(cs);
+    server.set_default_route(sc);
+    client.set_filter(&proxy);
+    for (sim::Node* n : {&client, &server}) n->register_protocol(protocol, [](const sim::Packet&) {});
+    net.enable_trace();
+  }
+
+  static ProxyTargets targets(std::uint8_t protocol) {
+    ProxyTargets t;
+    t.protocol = protocol;
+    t.client_addr = 1;
+    t.server_addr = 2;
+    t.server_port = 80;
+    t.competing_client_addr = 1;
+    t.competing_server_addr = 2;
+    t.competing_server_port = 81;
+    t.competing_client_port_guess = 40001;
+    return t;
+  }
+
+  /// The proxied client's first packet: the proxy learns port 40000 from it.
+  void client_speaks() {
+    sim::Packet p;
+    p.dst = 2;
+    p.protocol = protocol;
+    p.bytes = codec.build(protocol == sim::kProtoDccp ? "DCCP-Request" : "SYN",
+                          {{"src_port", 40000}, {"dst_port", 80}});
+    client.send_packet(std::move(p));
+  }
+
+  std::vector<sim::Packet> forged() {
+    std::vector<sim::Packet> out;
+    for (const sim::TraceEntry& e : net.trace().entries())
+      if (e.kind == sim::TraceKind::kInject) out.push_back(e.packet);
+    return out;
+  }
+
+  const packet::Codec& codec;
+  std::uint8_t protocol;
+  sim::Network net;
+  sim::Node& client;
+  sim::Node& server;
+  AttackProxy proxy;
+};
+
+/// A sweep armed on a time window (fires at t=0 whatever the states are),
+/// `count` packets 1 ms apart.
+Strategy sweep_strategy(bool dccp, bool toward_client, bool competing, std::uint64_t seq_start,
+                        std::uint64_t count) {
+  Strategy s;
+  s.action = AttackAction::kHitSeqWindow;
+  s.match_mode = MatchMode::kTimeWindow;
+  s.window_start_seconds = 0.0;
+  s.window_length_seconds = 1.0;
+  strategy::InjectSpec spec;
+  spec.packet_type = dccp ? "DCCP-Reset" : "RST";
+  spec.fields = dccp ? std::map<std::string, std::uint64_t>{{"x", 1}, {"data_offset", 6}, {"ack", 77}}
+                     : std::map<std::string, std::uint64_t>{{"data_offset", 5}, {"window", 1234},
+                                                            {"seq", 99}};
+  spec.spoof_toward_client = toward_client;
+  spec.target_competing = competing;
+  spec.seq_field = "seq";
+  spec.seq_start = seq_start;
+  spec.seq_stride = 65535;
+  spec.count = count;
+  spec.pace_pps = 1000;
+  s.inject = spec;
+  return s;
+}
+
+/// What Codec::build makes for sweep index `i`, with `client_port` as the
+/// proxied connection's client port.
+Bytes expected_forgery(const packet::Codec& codec, const Strategy& s, std::uint64_t i,
+                       std::uint16_t client_port) {
+  const strategy::InjectSpec& spec = *s.inject;
+  std::uint64_t near_port = spec.target_competing ? 40001 : client_port;
+  std::uint64_t far_port = spec.target_competing ? 81 : 80;
+  std::map<std::string, std::uint64_t> fields = spec.fields;
+  fields["src_port"] = spec.spoof_toward_client ? far_port : near_port;
+  fields["dst_port"] = spec.spoof_toward_client ? near_port : far_port;
+  if (s.action == AttackAction::kHitSeqWindow)
+    fields[spec.seq_field] = spec.seq_start + i * spec.seq_stride;
+  return codec.build(spec.packet_type, fields);
+}
+
+TEST(ForgedPackets, SweepIsByteIdenticalToCodecBuildAtEveryIndex) {
+  for (bool dccp : {false, true}) {
+    for (bool toward_client : {true, false}) {
+      for (bool competing : {false, true}) {
+        SCOPED_TRACE(std::string(dccp ? "dccp" : "tcp") +
+                     (toward_client ? " toward-client" : " toward-server") +
+                     (competing ? " competing" : " proxied"));
+        ForgeWorld w(dccp);
+        // Starts just below the sequence space's top, so the sweep wraps.
+        const std::uint64_t seq_top = dccp ? (std::uint64_t{1} << 48) : (std::uint64_t{1} << 32);
+        const Strategy s = sweep_strategy(dccp, toward_client, competing, seq_top - 5 * 65535, 40);
+        w.proxy.set_strategy(s);
+        // The sweep fires before the client port is known; the proxy learns
+        // it 10.5 ms in, between the 11th and 12th packet.
+        w.net.scheduler().run_until(TimePoint::origin() + Duration::micros(10500));
+        w.client_speaks();
+        w.net.scheduler().run_all();
+        const std::vector<sim::Packet> forged = w.forged();
+        ASSERT_EQ(forged.size(), 40u);
+        for (std::uint64_t i = 0; i < forged.size(); ++i) {
+          std::uint16_t port = i <= 10 ? 0 : 40000;
+          EXPECT_EQ(to_hex(forged[i].bytes), to_hex(expected_forgery(w.codec, s, i, port)))
+              << "sweep index " << i;
+          EXPECT_EQ(forged[i].src, toward_client ? 2u : 1u);
+          EXPECT_EQ(forged[i].dst, toward_client ? 1u : 2u);
+          EXPECT_EQ(forged[i].protocol, w.protocol);
+        }
+        // The sweep really wrapped past the top of the sequence space.
+        std::uint64_t last_seq = w.codec.get(forged.back().bytes, "seq");
+        EXPECT_LT(last_seq, 40u * 65535u);
+      }
+    }
+  }
+}
+
+TEST(ForgedPackets, SingleInjectionIsByteIdenticalToCodecBuild) {
+  for (bool dccp : {false, true}) {
+    SCOPED_TRACE(dccp ? "dccp" : "tcp");
+    ForgeWorld w(dccp);
+    w.client_speaks();  // port known before the injection
+    w.net.scheduler().run_all();
+    Strategy s = sweep_strategy(dccp, /*toward_client=*/true, /*competing=*/false, 0, 1);
+    s.action = AttackAction::kInject;
+    w.proxy.set_strategy(s);
+    w.net.scheduler().run_all();
+    const std::vector<sim::Packet> forged = w.forged();
+    ASSERT_EQ(forged.size(), 1u);
+    EXPECT_EQ(forged[0].bytes, expected_forgery(w.codec, s, 0, 40000));
+  }
+}
+
+TEST(ForgedPackets, BadNamesStillFailAtTheFirstInjection) {
+  auto first_injection_throws = [](Strategy s) {
+    ForgeWorld w(false);
+    w.proxy.set_strategy(std::move(s));  // arming never compiles the packet
+    EXPECT_THROW(w.net.scheduler().run_all(), std::invalid_argument);
+    EXPECT_EQ(w.proxy.stats().injected, 0u);
+  };
+  Strategy unknown_field = sweep_strategy(false, true, true, 0, 3);
+  unknown_field.inject->seq_field = "no_such_field";
+  first_injection_throws(unknown_field);
+
+  Strategy unknown_type = sweep_strategy(false, true, true, 0, 3);
+  unknown_type.inject->packet_type = "NOT-A-TYPE";
+  first_injection_throws(unknown_type);
+
+  Strategy discriminator = sweep_strategy(false, true, true, 0, 1);
+  discriminator.action = AttackAction::kInject;
+  discriminator.inject->fields["flags"] = 0x10;
+  first_injection_throws(discriminator);
 }
 
 }  // namespace

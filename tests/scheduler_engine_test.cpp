@@ -39,11 +39,22 @@ using sim::Timer;
 /// One scripted operation, interpreted identically by the scheduler and the
 /// model.
 struct Op {
-  enum Kind : std::uint8_t { kSchedule, kScheduleLazy, kCancel, kRunUntil, kRunEvents };
+  enum Kind : std::uint8_t {
+    kSchedule,
+    kScheduleLazy,
+    kScheduleChain,  ///< an event whose callback schedules a child event
+    kCancel,
+    kRunUntil,
+    kRunEvents
+  };
   Kind kind = kSchedule;
   std::int64_t delta_ns = 0;  ///< schedule offset (may be negative) / run horizon
   std::uint64_t pick = 0;     ///< cancel target selector / run_events count
+  std::int64_t child_delta_ns = 0;  ///< kScheduleChain: child offset from the fire time
 };
+
+/// Id bit of a chained event's child (the parent's id plus this bit).
+constexpr std::uint64_t kChildTag = std::uint64_t{1} << 62;
 
 std::vector<Op> make_script(std::uint64_t seed, std::size_t n) {
   Rng rng(seed);
@@ -116,6 +127,18 @@ struct Env {
                                                 [this, id] { fired.push_back(id); }));
         break;
       }
+      case Op::kScheduleChain: {
+        const std::uint64_t id = take_id(next_id, op.kind);
+        const std::int64_t child_delta = op.child_delta_ns;
+        timers.push_back(sched.schedule_at(
+            TimePoint::from_ns(sched.now().ns() + op.delta_ns), [this, id, child_delta] {
+              fired.push_back(id);
+              const std::uint64_t child = id | kChildTag;
+              timers.push_back(sched.schedule_in(Duration::nanos(child_delta),
+                                                 [this, child] { fired.push_back(child); }));
+            }));
+        break;
+      }
       case Op::kCancel:
         if (!timers.empty()) timers[op.pick % timers.size()].cancel();
         break;
@@ -148,6 +171,9 @@ class HeapModel {
       case Op::kScheduleLazy:  // laziness only matters to the quiescence cut
         schedule(now_ + op.delta_ns, take_id(next_id_, op.kind));
         break;
+      case Op::kScheduleChain:
+        schedule(now_ + op.delta_ns, take_id(next_id_, op.kind), op.child_delta_ns);
+        break;
       case Op::kCancel:
         // Like Timer::cancel: only a still-pending event is affected.
         if (!events_.empty()) {
@@ -175,11 +201,18 @@ class HeapModel {
     return snake::digest(now_, executed_, cancelled_, heap_.empty());
   }
 
+  /// Whether an entry (live or cancelled) is still queued before `t`.
+  bool pending_before(std::int64_t t) const {
+    return std::any_of(heap_.begin(), heap_.end(), [t](const Entry& e) { return e.at < t; });
+  }
+  std::int64_t now() const { return now_; }
+
  private:
   struct Event {
     enum State : std::uint8_t { kPending, kCancelled, kDone };
     std::uint64_t id = 0;
     State state = kPending;
+    std::int64_t child_delta = -1;  ///< >= 0: schedules a child when it fires
   };
   struct Entry {
     std::int64_t at = 0;
@@ -192,8 +225,8 @@ class HeapModel {
     return a.at != b.at ? a.at > b.at : a.seq > b.seq;
   }
 
-  void schedule(std::int64_t at, std::uint64_t id) {
-    events_.push_back(Event{id, Event::kPending});
+  void schedule(std::int64_t at, std::uint64_t id, std::int64_t child_delta = -1) {
+    events_.push_back(Event{id, Event::kPending, child_delta});
     heap_.push_back(Entry{std::max(at, now_), next_seq_++, events_.size() - 1});
     std::push_heap(heap_.begin(), heap_.end(), later);
   }
@@ -204,13 +237,17 @@ class HeapModel {
     heap_.pop_back();
     now_ = entry.at;
     Event& e = events_[entry.event];
-    if (e.state == Event::kCancelled) {
-      ++cancelled_;
-    } else {
-      ++executed_;
-      fired.push_back(e.id);
-    }
+    const bool cancelled = e.state == Event::kCancelled;
     e.state = Event::kDone;
+    if (cancelled) {
+      ++cancelled_;
+      return;
+    }
+    ++executed_;
+    fired.push_back(e.id);
+    // Like a callback scheduling from inside its own firing: the child takes
+    // the next seq, after everything already queued.
+    if (e.child_delta >= 0) schedule(now_ + e.child_delta, e.id | kChildTag);
   }
 
   std::vector<Entry> heap_;
@@ -222,29 +259,92 @@ class HeapModel {
   std::uint64_t cancelled_ = 0;
 };
 
+/// Replays `script` op by op on a fresh wheel and the model, then drains
+/// both; any divergence in fired order, clock or counters is reported.
+std::optional<std::string> check_against_model(const std::vector<Op>& script) {
+  auto wheel = std::make_unique<Env>();
+  HeapModel model;
+  for (std::size_t i = 0; i < script.size(); ++i) {
+    wheel->apply(script[i]);
+    model.apply(script[i]);
+    if (wheel->fired != model.fired)
+      return "fired order diverged after op " + std::to_string(i);
+    if (wheel->digest() != model.digest())
+      return "state diverged after op " + std::to_string(i) + ": wheel " + wheel->digest() +
+             " vs model " + model.digest();
+  }
+  wheel->sched.run_all();
+  model.run_all();
+  if (wheel->fired != model.fired) return std::string("final drain order diverged");
+  if (wheel->digest() != model.digest())
+    return "final state diverged: wheel " + wheel->digest() + " vs model " + model.digest();
+  return std::nullopt;
+}
+
+/// The wheel's tick and level-0 span (scheduler.h: kTickShift, kWheelSlots).
+constexpr std::int64_t kTickNs = std::int64_t{1} << 14;
+constexpr std::int64_t kSpanNs = kTickNs << 8;
+
+/// Replays script[0, capture_at), captures, and finishes the live run; then
+/// restores twice, and each restored drain must equal the model copied at
+/// the capture point. `mid_span` reports whether the capture point lay
+/// inside a level-0 span that still had entries queued in it.
+std::optional<std::string> check_restore_against_model(const std::vector<Op>& script,
+                                                       std::size_t capture_at,
+                                                       bool* mid_span = nullptr) {
+  auto wheel = std::make_unique<Env>();
+  HeapModel model;
+  for (std::size_t i = 0; i < capture_at; ++i) {
+    wheel->apply(script[i]);
+    model.apply(script[i]);
+  }
+  Scheduler::Snapshot snap;
+  if (!wheel->sched.capture(snap)) return std::string("capture declined");
+  const HeapModel at_capture = model;
+  if (mid_span != nullptr) {
+    const std::int64_t span_end = (model.now() / kSpanNs + 1) * kSpanNs;
+    *mid_span = model.now() % kSpanNs != 0 && model.pending_before(span_end);
+  }
+
+  // Live tails must agree first (sanity: the worlds were equal mid-script).
+  for (std::size_t i = capture_at; i < script.size(); ++i) {
+    wheel->apply(script[i]);
+    model.apply(script[i]);
+  }
+  wheel->sched.run_all();
+  model.run_all();
+  if (wheel->fired != model.fired) return std::string("live tails diverged");
+
+  // The model copied at the capture point drains the reference tail.
+  HeapModel reference = at_capture;
+  const std::size_t reference_mark = reference.fired.size();
+  reference.run_all();
+  const std::vector<std::uint64_t> reference_tail(
+      reference.fired.begin() + static_cast<std::ptrdiff_t>(reference_mark),
+      reference.fired.end());
+
+  // The restored scheduler must drain exactly that tail, twice over: the
+  // second restore of the same snapshot takes the copy-on-write path for
+  // every slot the first drain left untouched.
+  for (int round = 0; round < 2; ++round) {
+    wheel->sched.restore(snap);
+    const std::size_t mark = wheel->fired.size();
+    wheel->sched.run_all();
+    const std::vector<std::uint64_t> tail(
+        wheel->fired.begin() + static_cast<std::ptrdiff_t>(mark), wheel->fired.end());
+    if (tail != reference_tail)
+      return "restored drain " + std::to_string(round) + " diverged from the model";
+    if (wheel->digest() != reference.digest())
+      return "restored drain " + std::to_string(round) + " left wheel " + wheel->digest() +
+             " vs model " + reference.digest();
+  }
+  return std::nullopt;
+}
+
 TEST(SchedulerEngines, IdenticalExecutionOnRandomScripts) {
   auto config = testing::PropertyConfig::from_env(/*default_iterations=*/200, /*seed=*/17);
-  auto failure = testing::for_each_seed(config, [](std::uint64_t seed)
-                                                    -> std::optional<std::string> {
-    const std::vector<Op> script = make_script(seed, 250);
-    auto wheel = std::make_unique<Env>();
-    HeapModel model;
-    for (std::size_t i = 0; i < script.size(); ++i) {
-      wheel->apply(script[i]);
-      model.apply(script[i]);
-      if (wheel->fired != model.fired)
-        return "fired order diverged after op " + std::to_string(i);
-      if (wheel->digest() != model.digest())
-        return "state diverged after op " + std::to_string(i) + ": wheel " +
-               wheel->digest() + " vs model " + model.digest();
-    }
-    wheel->sched.run_all();
-    model.run_all();
-    if (wheel->fired != model.fired) return std::string("final drain order diverged");
-    if (wheel->digest() != model.digest())
-      return "final state diverged: wheel " + wheel->digest() + " vs model " +
-             model.digest();
-    return std::nullopt;
+  auto failure = testing::for_each_seed(config, [](std::uint64_t seed) {
+    return check_against_model(make_script(seed, 250));
   });
   ASSERT_FALSE(failure.has_value())
       << "seed " << failure->seed << ": " << failure->message;
@@ -252,56 +352,138 @@ TEST(SchedulerEngines, IdenticalExecutionOnRandomScripts) {
 
 TEST(SchedulerEngines, SnapshotsRestoreIdenticallyAcrossEngines) {
   auto config = testing::PropertyConfig::from_env(/*default_iterations=*/15, /*seed=*/41);
-  auto failure = testing::for_each_seed(config, [](std::uint64_t seed)
-                                                    -> std::optional<std::string> {
+  auto failure = testing::for_each_seed(config, [](std::uint64_t seed) {
     const std::vector<Op> script = make_script(seed, 160);
-    auto wheel = std::make_unique<Env>();
-    HeapModel model;
-    const std::size_t half = script.size() / 2;
-    for (std::size_t i = 0; i < half; ++i) {
-      wheel->apply(script[i]);
-      model.apply(script[i]);
-    }
-    Scheduler::Snapshot snap;
-    if (!wheel->sched.capture(snap)) return std::string("capture declined");
-    const HeapModel at_capture = model;
-
-    // Live tails must agree first (sanity: the worlds were equal mid-script).
-    for (std::size_t i = half; i < script.size(); ++i) {
-      wheel->apply(script[i]);
-      model.apply(script[i]);
-    }
-    wheel->sched.run_all();
-    model.run_all();
-    if (wheel->fired != model.fired) return std::string("live tails diverged");
-
-    // The model copied at the capture point drains the reference tail.
-    HeapModel reference = at_capture;
-    const std::size_t reference_mark = reference.fired.size();
-    reference.run_all();
-    const std::vector<std::uint64_t> reference_tail(
-        reference.fired.begin() + static_cast<std::ptrdiff_t>(reference_mark),
-        reference.fired.end());
-
-    // The restored scheduler must drain exactly that tail, twice over: the
-    // second restore of the same snapshot takes the copy-on-write path for
-    // every slot the first drain left untouched.
-    for (int round = 0; round < 2; ++round) {
-      wheel->sched.restore(snap);
-      const std::size_t mark = wheel->fired.size();
-      wheel->sched.run_all();
-      const std::vector<std::uint64_t> tail(
-          wheel->fired.begin() + static_cast<std::ptrdiff_t>(mark), wheel->fired.end());
-      if (tail != reference_tail)
-        return "restored drain " + std::to_string(round) + " diverged from the model";
-      if (wheel->digest() != reference.digest())
-        return "restored drain " + std::to_string(round) + " left wheel " +
-               wheel->digest() + " vs model " + reference.digest();
-    }
-    return std::nullopt;
+    return check_restore_against_model(script, script.size() / 2);
   });
   ASSERT_FALSE(failure.has_value())
       << "seed " << failure->seed << ": " << failure->message;
+}
+
+// ---------------------------------------------------------------------------
+// Dense scripts: shapes the random scripts rarely produce. Hundreds of
+// events crowd one tick or one level-0 span, callbacks schedule into the
+// tick being drained, entries land exactly on the start of a span that a
+// cascade opens, and runs stop mid-span.
+
+enum class Shape { kOneTick, kOneSpan, kSpanStarts };
+
+/// Offset from `now` to a target the shape crowds: inside the next tick,
+/// inside the next span, or on (or one tick either side of) the start of
+/// a coming level-1 or level-2 span.
+std::int64_t dense_delta(Rng& rng, Shape shape, std::int64_t now) {
+  switch (shape) {
+    case Shape::kOneTick: {
+      const std::int64_t next_tick = (now / kTickNs + 1) * kTickNs;
+      return next_tick - now + static_cast<std::int64_t>(rng.uniform(0, kTickNs - 1));
+    }
+    case Shape::kOneSpan: {
+      const std::int64_t next_span = (now / kSpanNs + 1) * kSpanNs;
+      return next_span - now + static_cast<std::int64_t>(rng.uniform(0, kSpanNs - 1));
+    }
+    case Shape::kSpanStarts: {
+      const std::int64_t unit = rng.chance(0.8) ? kSpanNs : kSpanNs << 8;
+      const std::int64_t start =
+          (now / unit + static_cast<std::int64_t>(rng.uniform(1, 3))) * unit;
+      const std::int64_t nudge[] = {0, 0, 0, kTickNs, -kTickNs, 1, -1};
+      return start - now + nudge[rng.uniform(0, 6)];
+    }
+  }
+  return 0;
+}
+
+/// A burst of `burst` schedules (a quarter of them chained) into the
+/// shape's region, then `tail` mixed ops that keep crowding it: short runs
+/// that stop mid-tick or mid-span, same-tick children, cancels. The script
+/// tracks the clock the way the model will, so the targets stay ahead.
+std::vector<Op> make_dense_script(std::uint64_t seed, Shape shape, std::size_t burst,
+                                  std::size_t tail) {
+  Rng rng(seed);
+  HeapModel clock;  // only for now(): the script is built against the model
+  std::vector<Op> ops;
+  auto schedule = [&](bool allow_chain) {
+    Op op;
+    op.kind = allow_chain && rng.chance(0.25) ? Op::kScheduleChain : Op::kSchedule;
+    op.delta_ns = dense_delta(rng, shape, clock.now());
+    // Mostly into the tick the parent fires in; sometimes exactly now.
+    op.child_delta_ns =
+        rng.chance(0.2) ? 0 : static_cast<std::int64_t>(rng.uniform(0, kTickNs / 4));
+    return op;
+  };
+  for (std::size_t i = 0; i < burst; ++i) {
+    ops.push_back(schedule(true));
+    clock.apply(ops.back());
+  }
+  for (std::size_t i = 0; i < tail; ++i) {
+    const std::uint64_t roll = rng.uniform(0, 99);
+    Op op;
+    if (roll < 45) {
+      op = schedule(true);
+    } else if (roll < 55) {
+      op.kind = Op::kCancel;
+      op.pick = rng.next_u64();
+    } else if (roll < 80) {
+      op.kind = Op::kRunUntil;
+      op.delta_ns = static_cast<std::int64_t>(
+          rng.uniform(0, shape == Shape::kOneTick ? kTickNs / 2 : kSpanNs / 4));
+    } else {
+      op.kind = Op::kRunEvents;
+      op.pick = rng.uniform(1, 40);
+    }
+    ops.push_back(op);
+    clock.apply(op);
+  }
+  return ops;
+}
+
+TEST(SchedulerEngines, IdenticalExecutionOnDenseScripts) {
+  auto config = testing::PropertyConfig::from_env(/*default_iterations=*/12, /*seed=*/71);
+  for (Shape shape : {Shape::kOneTick, Shape::kOneSpan, Shape::kSpanStarts}) {
+    SCOPED_TRACE(static_cast<int>(shape));
+    auto failure = testing::for_each_seed(config, [shape](std::uint64_t seed) {
+      return check_against_model(make_dense_script(seed, shape, 300, 400));
+    });
+    ASSERT_FALSE(failure.has_value())
+        << "seed " << failure->seed << ": " << failure->message;
+  }
+}
+
+TEST(SchedulerEngines, DenseBurstsReallyCrowdOneTickAndOneSpan) {
+  // Guards the shapes above against drifting into sparse scripts: a burst
+  // is built at time zero, so its offsets are its event times.
+  for (Shape shape : {Shape::kOneTick, Shape::kOneSpan}) {
+    const std::vector<Op> burst = make_dense_script(5, shape, 300, 0);
+    const std::int64_t unit = shape == Shape::kOneTick ? kTickNs : kSpanNs;
+    auto [lo, hi] = std::minmax_element(burst.begin(), burst.end(), [](const Op& a, const Op& b) {
+      return a.delta_ns < b.delta_ns;
+    });
+    EXPECT_EQ(lo->delta_ns / unit, hi->delta_ns / unit) << static_cast<int>(shape);
+    EXPECT_EQ(burst.size(), 300u);
+  }
+}
+
+TEST(SchedulerEngines, DenseSnapshotsRestoreMidSpan) {
+  auto config = testing::PropertyConfig::from_env(/*default_iterations=*/8, /*seed=*/83);
+  std::size_t mid_span_captures = 0;
+  for (Shape shape : {Shape::kOneTick, Shape::kOneSpan, Shape::kSpanStarts}) {
+    SCOPED_TRACE(static_cast<int>(shape));
+    auto failure = testing::for_each_seed(config, [&](std::uint64_t seed)
+                                                      -> std::optional<std::string> {
+      const std::vector<Op> script = make_dense_script(seed, shape, 200, 300);
+      // Capture at several points of the mixed tail, where runs stop short.
+      for (std::size_t capture_at : {std::size_t{260}, std::size_t{340}, std::size_t{430}}) {
+        bool mid_span = false;
+        if (auto bad = check_restore_against_model(script, capture_at, &mid_span))
+          return "capture at op " + std::to_string(capture_at) + ": " + *bad;
+        mid_span_captures += mid_span;
+      }
+      return std::nullopt;
+    });
+    ASSERT_FALSE(failure.has_value())
+        << "seed " << failure->seed << ": " << failure->message;
+  }
+  // The property is only worth something if captures really sat mid-span.
+  EXPECT_GT(mid_span_captures, 10u);
 }
 
 TEST(SchedulerEngines, QuiescentRunMatchesPlainRunOnActiveEvents) {
@@ -414,8 +596,9 @@ TEST(EarlyExit, CampaignDetectionsAreIdenticalOnAndOff) {
     // TIME_WAIT releases remain), otherwise this test is vacuous. TCP gets
     // no such guarantee: the competing wget's effectively-unbounded download
     // keeps an active pump timer armed until the very end by design.
-    if (protocol == core::Protocol::kDccp)
+    if (protocol == core::Protocol::kDccp) {
       EXPECT_GT(on.metrics.counter("scenario.early_exit_runs"), 0u);
+    }
     // The counter must never tick when the flag is off.
     EXPECT_EQ(off.metrics.counter("scenario.early_exit_runs"), 0u);
   }

@@ -181,8 +181,13 @@ TEST(Fitness, MonotoneInMarginAndCoverage) {
     fb.found = true;
     fb.margin = static_cast<double>(rng() % 1000) / 100.0;
     const std::size_t pairs = rng() % 12;
-    for (std::size_t i = 0; i < pairs; ++i)
-      fb.fresh_pairs.emplace_back("S" + std::to_string(i), "T");
+    for (std::size_t i = 0; i < pairs; ++i) {
+      // Appended, not "S" + to_string(i): GCC 12 flags that form with a
+      // false -Wrestrict overlap once it is inlined here.
+      std::string state = "S";
+      state += std::to_string(i);
+      fb.fresh_pairs.emplace_back(state, "T");
+    }
     const double base = search::fitness_score(fb, config);
 
     search::TrialFeedback more_margin = fb;

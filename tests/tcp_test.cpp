@@ -3,6 +3,7 @@
 // including the profile quirks that make the paper's attacks possible.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <deque>
 #include <optional>
 #include <set>
@@ -39,7 +40,8 @@ TEST(Segment, SerializeParseRoundTrip) {
   s.flags = kTcpPsh | kTcpAck;
   s.window = 31000;
   s.dsack = true;
-  s.payload = {1, 2, 3, 4, 5};
+  const Bytes payload = {1, 2, 3, 4, 5};
+  s.payload = payload;
   Bytes wire = serialize(s);
   auto parsed = parse_segment(wire);
   ASSERT_TRUE(parsed.has_value());
@@ -50,7 +52,9 @@ TEST(Segment, SerializeParseRoundTrip) {
   EXPECT_EQ(parsed->flags, s.flags);
   EXPECT_EQ(parsed->window, s.window);
   EXPECT_TRUE(parsed->dsack);
-  EXPECT_EQ(parsed->payload, s.payload);
+  EXPECT_EQ(Bytes(parsed->payload.begin(), parsed->payload.end()), payload);
+  // The parsed payload is a view into the wire buffer, not a copy.
+  EXPECT_EQ(parsed->payload.data(), wire.data() + 20);
 }
 
 TEST(Segment, ParseRejectsCorruption) {
@@ -59,7 +63,8 @@ TEST(Segment, ParseRejectsCorruption) {
   Bytes wire = serialize(s);
   wire[4] ^= 0xFF;  // corrupt seq, checksum now wrong
   EXPECT_FALSE(parse_segment(wire).has_value());
-  EXPECT_FALSE(parse_segment(Bytes(10, 0)).has_value());  // truncated
+  const Bytes truncated(10, 0);
+  EXPECT_FALSE(parse_segment(truncated).has_value());
 }
 
 TEST(Segment, WireFormatMatchesDslCodec) {
@@ -95,7 +100,8 @@ TEST(Segment, SeqLenCountsSynAndFin) {
   s.flags = kTcpSyn;
   EXPECT_EQ(s.seq_len(), 1u);
   s.flags = kTcpFin | kTcpAck;
-  s.payload = {1, 2, 3};
+  const Bytes payload = {1, 2, 3};
+  s.payload = payload;
   EXPECT_EQ(s.seq_len(), 4u);
 }
 
@@ -256,6 +262,17 @@ struct ByteQueueModel {
   }
 };
 
+/// Bytes [offset, offset + len) of `buf`, via copy_to behind a two-byte
+/// stand-in header that must come through untouched (the serializer appends
+/// payload behind the segment header the same way).
+Bytes slice(const SendBuffer& buf, std::size_t offset, std::size_t len) {
+  Bytes out = {0xEE, 0xEF};
+  buf.copy_to(offset, len, out);
+  EXPECT_EQ(out[0], 0xEE);
+  EXPECT_EQ(out[1], 0xEF);
+  return Bytes(out.begin() + 2, out.end());
+}
+
 struct BufferAndModel {
   SendBuffer buf;
   ByteQueueModel model;
@@ -274,7 +291,7 @@ struct BufferAndModel {
   }
   bool whole_matches() const {
     return buf.size() == model.bytes.size() &&
-           buf.slice(0, buf.size()) == model.slice(0, model.bytes.size());
+           slice(buf, 0, buf.size()) == model.slice(0, model.bytes.size());
   }
 };
 
@@ -312,7 +329,7 @@ TEST(SendBuffer, MatchesByteQueueModelUnderRandomScripts) {
           if (size == 0) break;
           std::size_t offset = rng.uniform(0, size - 1);
           std::size_t len = rng.uniform(0, std::min<std::size_t>(size - offset, 1400));
-          ASSERT_EQ(live.buf.slice(offset, len), live.model.slice(offset, len))
+          ASSERT_EQ(slice(live.buf, offset, len), live.model.slice(offset, len))
               << "seed " << seed << " step " << step;
           break;
         }
@@ -322,7 +339,7 @@ TEST(SendBuffer, MatchesByteQueueModelUnderRandomScripts) {
           std::size_t edge = edges[rng.uniform(0, edges.size() - 1)];
           std::size_t offset = edge - rng.uniform(1, std::min<std::size_t>(edge, 1400));
           std::size_t len = edge - offset + rng.uniform(1, std::min<std::size_t>(size - edge, 1400));
-          ASSERT_EQ(live.buf.slice(offset, len), live.model.slice(offset, len))
+          ASSERT_EQ(slice(live.buf, offset, len), live.model.slice(offset, len))
               << "seed " << seed << " step " << step;
           ++straddles;
           break;
@@ -331,7 +348,7 @@ TEST(SendBuffer, MatchesByteQueueModelUnderRandomScripts) {
           // Zero-window probe: one byte anywhere.
           if (size == 0) break;
           std::size_t offset = rng.uniform(0, size - 1);
-          ASSERT_EQ(live.buf.slice(offset, 1), live.model.slice(offset, 1))
+          ASSERT_EQ(slice(live.buf, offset, 1), live.model.slice(offset, 1))
               << "seed " << seed << " step " << step;
           ++probes;
           break;
@@ -369,12 +386,12 @@ TEST(SendBuffer, CopyKeepsItsBytesWhileTheOriginalMovesOn) {
   SendBuffer copy = original;
   original.consume(3);  // exactly to the edge of the first chunk, and past it
   original.append(Bytes{6});
-  EXPECT_EQ(original.slice(0, original.size()), (Bytes{5, 6}));
+  EXPECT_EQ(slice(original, 0, original.size()), (Bytes{5, 6}));
   ASSERT_EQ(copy.size(), 4u);
-  EXPECT_EQ(copy.slice(0, 4), (Bytes{2, 3, 4, 5}));
-  EXPECT_EQ(copy.slice(1, 2), (Bytes{3, 4}));  // straddles the chunk edge
+  EXPECT_EQ(slice(copy, 0, 4), (Bytes{2, 3, 4, 5}));
+  EXPECT_EQ(slice(copy, 1, 2), (Bytes{3, 4}));  // straddles the chunk edge
   original = copy;                             // restore
-  EXPECT_EQ(original.slice(0, original.size()), (Bytes{2, 3, 4, 5}));
+  EXPECT_EQ(slice(original, 0, original.size()), (Bytes{2, 3, 4, 5}));
 }
 
 // ----------------------------------------------------------- integration
@@ -427,7 +444,7 @@ struct BulkFixture {
       return cb;
     });
     TcpCallbacks cb;
-    cb.on_data = [this](const Bytes& chunk) {
+    cb.on_data = [this](ByteView chunk) {
       received.insert(received.end(), chunk.begin(), chunk.end());
     };
     cb.on_reset = [this] { reset = true; };
@@ -606,7 +623,8 @@ TEST(TcpIntegration, InvalidFlagsFingerprintDiffersByProfile) {
     weird.dst_port = bulk.client_ep->config().local_port;
     weird.flags = 0;  // no flags at all
     weird.seq = bulk.client_ep->rcv_nxt();
-    weird.payload = {0xAB};
+    const Bytes one_byte = {0xAB};
+    weird.payload = one_byte;
     inject_segment(pair, 2, weird);
     pair.run_for(1.0);
     return bulk.client_ep->stats().invalid_flag_responses;
@@ -775,7 +793,8 @@ TEST(Segment, SackOptionsRoundTrip) {
   Segment syn;
   syn.flags = kTcpSyn;
   syn.sack_permitted = true;
-  auto parsed_syn = parse_segment(serialize(syn));
+  const Bytes syn_wire = serialize(syn);
+  auto parsed_syn = parse_segment(syn_wire);
   ASSERT_TRUE(parsed_syn.has_value());
   EXPECT_TRUE(parsed_syn->sack_permitted);
   EXPECT_TRUE(parsed_syn->sack_blocks.empty());
@@ -800,7 +819,8 @@ TEST(Segment, SackBlocksTruncateAtSerializationLimit) {
   s.flags = kTcpAck;
   for (std::uint32_t i = 0; i < 6; ++i)
     s.sack_blocks.push_back({i * 3000 + 1000, i * 3000 + 2400});
-  auto parsed = parse_segment(serialize(s));
+  const Bytes wire = serialize(s);
+  auto parsed = parse_segment(wire);
   ASSERT_TRUE(parsed.has_value());
   ASSERT_EQ(parsed->sack_blocks.size(), Segment::kMaxSackBlocks);
   for (std::size_t i = 0; i < Segment::kMaxSackBlocks; ++i)
@@ -816,7 +836,8 @@ TEST(Segment, OptionBytesMatchDataOffset) {
     for (std::size_t i = 0; i < blocks; ++i)
       s.sack_blocks.push_back({static_cast<Seq>(i * 3000 + 1000),
                                static_cast<Seq>(i * 3000 + 2400)});
-    s.payload = {1, 2, 3};
+    const Bytes payload = {1, 2, 3};
+    s.payload = payload;
     Bytes wire = serialize(s);
     EXPECT_EQ(s.option_bytes() % 4, 0u) << blocks;
     EXPECT_EQ(wire.size(), 20 + s.option_bytes() + s.payload.size()) << blocks;
@@ -895,6 +916,82 @@ TEST(TcpIntegration, SackRecoveryPlugsHolesWithoutTimeout) {
   EXPECT_GE(sender.sack_retransmits, 1u);
   EXPECT_EQ(sender.timeouts, 0u);
   EXPECT_GT(bulk.client_ep->stats().sack_blocks_sent, 0u);
+}
+
+TEST(TcpIntegration, OutOfOrderSegmentsSurviveWireBufferRecycling) {
+  // Parsed payloads are views into the packet's wire buffer, which the node
+  // hands back to the pool (and the next packet overwrites) as soon as the
+  // segment is processed. Segments buffered out of order behind a hole must
+  // therefore be kept as copies: when the hole is plugged they come out
+  // long after their wire buffers were reused.
+  TcpPair pair;
+  DropNthData filter({20, 21, 40});
+  pair.client_node().set_filter(&filter);
+  BulkFixture bulk(pair, 200000);
+  pair.run_for(30.0);
+  EXPECT_EQ(bulk.received.size(), 200000u);
+  EXPECT_TRUE(bulk.content_ok());
+  EXPECT_GT(bulk.client_ep->stats().ooo_buffered, 5u);
+  EXPECT_GT(pair.net().scheduler().buffer_pool().reused(), 100u);
+}
+
+/// Drops the Nth ingress data segment once and records the payload of every
+/// segment that carries its sequence number (the original and the
+/// retransmissions), copied out of the wire buffer, plus its stream offset.
+class DropNthDataRecordRetransmits : public sim::PacketFilter {
+ public:
+  explicit DropNthDataRecordRetransmits(int n) : n_(n) {}
+  sim::FilterVerdict on_packet(sim::Packet& p, sim::FilterDirection dir,
+                               sim::Injector&) override {
+    if (dir != sim::FilterDirection::kIngress) return sim::FilterVerdict::kForward;
+    auto seg = parse_segment(p.bytes);
+    if (!seg.has_value() || seg->payload.empty()) return sim::FilterVerdict::kForward;
+    if (!base_.has_value()) base_ = seg->seq;
+    if (count_++ == n_) target_ = seg->seq;
+    if (!target_.has_value() || seg->seq != *target_) return sim::FilterVerdict::kForward;
+    offset = *target_ - *base_;
+    sent.emplace_back(seg->payload.begin(), seg->payload.end());
+    return sent.size() == 1 ? sim::FilterVerdict::kConsume : sim::FilterVerdict::kForward;
+  }
+  std::size_t offset = 0;
+  std::vector<Bytes> sent;
+
+ private:
+  int n_;
+  int count_ = 0;
+  std::optional<Seq> base_, target_;
+};
+
+TEST(TcpIntegration, RetransmitStraddlingTwoSendBufferChunksCarriesTheRightBytes) {
+  // Thirty 1000-byte application writes, queued before the handshake
+  // completes, so every MSS-sized segment spans two send-buffer chunks.
+  // Dropping one makes the sender fast-retransmit its range, serialized
+  // straight from the two chunks.
+  TcpPair pair;
+  DropNthDataRecordRetransmits filter(10);
+  pair.server_node().set_filter(&filter);
+  auto pattern = [](std::size_t from, std::size_t n) {
+    Bytes out(n);
+    for (std::size_t i = 0; i < n; ++i) out[i] = static_cast<std::uint8_t>((from + i) * 31);
+    return out;
+  };
+  Bytes received;
+  pair.server().listen(80, [&received](TcpEndpoint&) {
+    TcpCallbacks cb;
+    cb.on_data = [&received](ByteView chunk) {
+      received.insert(received.end(), chunk.begin(), chunk.end());
+    };
+    return cb;
+  });
+  TcpEndpoint& client = pair.client().connect(2, 80, TcpCallbacks{});
+  for (std::size_t i = 0; i < 30; ++i) client.send(pattern(i * 1000, 1000));  // SYN_SENT: queued
+  pair.run_for(30.0);
+  EXPECT_EQ(received, pattern(0, 30000));
+  EXPECT_GE(client.stats().fast_retransmits, 1u);
+  const std::size_t mss = client.config().mss;
+  ASSERT_GT(mss, 1000u);  // so every segment crosses a chunk edge
+  ASSERT_GE(filter.sent.size(), 2u);  // the dropped original and its retransmit
+  for (const Bytes& payload : filter.sent) EXPECT_EQ(payload, pattern(filter.offset, mss));
 }
 
 /// Duplicates the Nth ingress payload segment (attack-proxy style copy).
@@ -1005,7 +1102,7 @@ TEST(TcpIntegration, RenegeProfileEvictsSackedDataUnderPressure) {
     } r;
     TcpCallbacks cb;
     auto* received = &r.received;
-    cb.on_data = [received](const Bytes& chunk) { *received += chunk.size(); };
+    cb.on_data = [received](ByteView chunk) { *received += chunk.size(); };
     TcpEndpoint& client_ep = pair.client().connect(2, 80, std::move(cb), config);
     pair.run_for(60.0);
     r.client = client_ep.stats();
